@@ -21,6 +21,7 @@ environment.
 
 import argparse
 import json
+import math
 import os
 import shutil
 import signal
@@ -33,6 +34,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import checks  # noqa: E402
+import reference  # noqa: E402
 import workloads  # noqa: E402
 
 SETUP_SAMPLES = 5  # fresh interpreters timed before the measured one
@@ -66,13 +68,17 @@ class Worker:
                                      env=env, cwd=root, text=True)
 
     def wait_ready(self):
-        """Wait for the ``ready`` line and return the set-up time."""
+        """Wait for the ``ready`` line and the reference time after it;
+        return the set-up time at reference speed and wall-clock."""
         line = self.proc.stdout.readline()
         ready_s = time.perf_counter() - self.t0
-        if line.strip() != "ready":
+        ref_line = self.proc.stdout.readline() if line.strip() == "ready" else ""
+        try:
+            ref_ms = float(ref_line)
+        except ValueError:
             self.proc.communicate()
             fail(f"worker did not start:\n{self.stderr_text()}")
-        return ready_s
+        return ready_s * reference.NOMINAL_MS / ref_ms, ready_s
 
     def __enter__(self):
         return self
@@ -143,21 +149,28 @@ def identity_problems(records):
     return problems
 
 
-def end_to_end(records, found, setup_samples, peak_rss_mb):
+def end_to_end(records, found, setup_samples, scale, peak_rss_mb, tail_percentile):
+    """Times are at reference speed (reference.py); the notes give the raw
+    wall-clock figures beside them."""
     n = len(records)
     failed = sum(r["failed"] for r in records)
     false_conv = sum(v.false_conv for v in found)
-    ms = sorted(r["ms"] for r in records)
-    tail_rank = max(n - 11, 0)
+    wall = sorted(r["ms"] for r in records)
+    ms = sorted(scale(r["t0"], r["ms"]) for r in records)
+    tail_rank = max(math.ceil(tail_percentile / 100.0 * n) - 1, 0)
     errors = [v.rel_err for v in found if v.rel_err is not None]
+    setup = [scaled for scaled, _ in setup_samples]
     m = {
-        "setup_s": (statistics.median(setup_samples),
-                    f"median of {len(setup_samples)} fresh interpreters"),
+        "setup_s": (statistics.median(setup),
+                    f"median of {len(setup)} fresh interpreters; wall "
+                    f"{statistics.median(wall_s for _, wall_s in setup_samples):.4f} s"),
         "ops_per_s": ((n - failed) / (sum(ms) / 1e3),
-                      f"{n - failed} completed ops / {sum(ms) / 1e3:.3f} s compute"),
-        "op_ms_p50": (statistics.median(ms), f"n={n}"),
+                      f"{n - failed} completed ops / {sum(ms) / 1e3:.3f} s compute; wall "
+                      f"{(n - failed) / (sum(wall) / 1e3):.2f} 1/s"),
+        "op_ms_p50": (statistics.median(ms), f"n={n}; wall {statistics.median(wall):.3f} ms"),
         "op_ms_tail": (ms[tail_rank],
-                       f"p{100.0 * (tail_rank + 1) / n:.2f}: {n - 1 - tail_rank} of n={n} slower"),
+                       f"p{tail_percentile:g}: {n - 1 - tail_rank} of n={n} slower; "
+                       f"wall {wall[tail_rank]:.3f} ms"),
         "ok_frac": (1.0 - failed / n, f"fail_frac={failed / n!r} ({failed} of {n})"),
         "trusted_frac": (1.0 - false_conv / n,
                          f"false_conv_frac={false_conv / n!r} ({false_conv} of {n})"),
@@ -214,7 +227,7 @@ def main():
 
 def report(args, root, scratch):
     out = os.path.join(scratch, "result.json")
-    setup_samples = []
+    setup_samples = []  # (at reference speed, wall), in s
     modes = ["setup"] * (0 if args.trace else SETUP_SAMPLES) + ["trace" if args.trace else "measure"]
     for k, mode in enumerate(modes):
         path = out if mode != "setup" else os.path.join(scratch, f"setup{k}.json")
@@ -253,8 +266,11 @@ def report(args, root, scratch):
         for label, sites in sorted(result["bindings"].items()):
             print(f"# bound {label}: {', '.join(sites)}")
     else:
+        with open(f"{out}.ops.refs") as fh:
+            scale = reference.Scale(json.loads(line) for line in fh)
         metrics, printed = end_to_end(result["ops"], found[:len(result["ops"])], setup_samples,
-                                      result["peak_rss_mb"])
+                                      scale, result["peak_rss_mb"],
+                                      workloads.TAIL_PERCENTILE[args.workload])
     units = _units(args.trace)
     for name, (value, note) in {**metrics, **printed}.items():
         unit = units.get(name, "1")
@@ -265,7 +281,9 @@ def report(args, root, scratch):
     print(json.dumps({
         "correct": not problems,
         "attempted": len(records),
-        "failed": sum(r["failed"] for r in records),
+        # Ops that raised.  Documented refusals (CLI exit 3 or 4, a rung with
+        # converged=False) completed, and are counted in ok_frac instead.
+        "failed": sum(r["error"] is not None for r in records),
         "metrics": {k: {"value": v[0], "unit": units[k]} for k, v in metrics.items()},
     }))
 

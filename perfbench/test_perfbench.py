@@ -23,6 +23,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import checks  # noqa: E402
 import oracles  # noqa: E402
+import reference  # noqa: E402
 import workloads  # noqa: E402
 from devfactor import coulomb, quadrature  # noqa: E402
 
@@ -246,6 +247,24 @@ def test_tracer_rebinds_every_caller_namespace():
     assert 0 < layers["quadrature.ball4_integrate.useful_ratio"] <= 1
     for label, total in tracer.seconds.items():
         assert 0 <= tracer.self_seconds[label] <= total + 1e-9
+
+
+def test_scale_divides_out_the_local_reference_speed():
+    nominal = reference.NOMINAL_MS
+    # The host runs at nominal speed for 10 s, then at half speed.
+    refs = [(0.01 * k, nominal if k < 1000 else 2 * nominal) for k in range(2000)]
+    scale = reference.Scale(refs)
+    assert scale(2.0, 5.0) == pytest.approx(5.0)
+    assert scale(15.0, 10.0) == pytest.approx(5.0)
+    # Beyond the last timing the nearest one is used.
+    assert scale(100.0, 10.0) == pytest.approx(5.0)
+
+
+def test_reference_does_not_call_devfactor():
+    loaded = set(sys.modules)
+    reference.work()
+    assert not any(m.startswith("devfactor") for m in set(sys.modules) - loaded)
+    assert reference.median_ms(5) > 0
 
 
 def test_run_refuses_a_directory_without_sources(tmp_path):

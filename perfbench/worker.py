@@ -2,7 +2,9 @@
 
 Started by run.py with devfactor's source directory on PYTHONPATH.  It
 imports devfactor.cli, runs the workload's set-up op and prints ``ready``;
-that line ends the set-up time the parent measures.  In ``setup`` mode it
+that line ends the set-up time the parent measures.  The next line is the
+median time of the host-speed reference (reference.py) run just after,
+which scales that set-up time.  In ``setup`` mode it
 then exits.  In ``measure`` mode it runs ops in a closed loop with a single
 caller until the time budget is spent.  In ``trace`` mode it measures for
 half the budget untraced, installs the tracer, and runs the same ops again
@@ -23,8 +25,12 @@ import time
 import devfactor.cli
 import numpy as np
 
+import reference
 import workloads
 from devfactor import coulomb, expansions, fitting, quadrature
+
+
+SETUP_REFS = 40  # reference timings after set-up
 
 
 def _callable_integrand(p, ell):
@@ -111,13 +117,15 @@ def loop(workload, seed, path, seconds=None, count=None):
     Stops after ``seconds`` of wall time, or after ``count`` ops.  Each op's
     record goes to the JSON-lines file ``path`` at once, so that the
     worker's memory does not grow with the number of ops; returns the count.
+    The host-speed reference runs before every op, and its (start, ms)
+    timings go to ``path + ".refs"``.
     """
     run = RUNNERS[workload]
     cli_ops = workloads.cli_cycle(seed) if workload == "cli" else None
     written = {}  # CLI cycle slot -> files its previous run wrote
     i = 0
     start = time.perf_counter()
-    with open(path, "w") as sink:
+    with open(path, "w") as sink, open(path + ".refs", "w") as refs:
         while i < count if count is not None else time.perf_counter() - start < seconds:
             op = cli_ops[i % len(cli_ops)] if cli_ops else workloads.op(workload, seed, i)
             # Every CLI run writes fresh files, as into a new output directory:
@@ -125,6 +133,7 @@ def loop(workload, seed, path, seconds=None, count=None):
             # close, which would time the disk instead of the program.
             for stale in written.pop(i % len(cli_ops), ()) if cli_ops else ():
                 os.remove(stale)
+            refs.write(json.dumps(reference.timed()) + "\n")
             error = None
             t0 = time.perf_counter()
             try:
@@ -135,8 +144,8 @@ def loop(workload, seed, path, seconds=None, count=None):
             if "stdout" in out:
                 digest_cli(out)
                 written[i % len(cli_ops)] = list(out["files"])
-            sink.write(json.dumps({"i": i, "ms": ms, "failed": failed, "error": error,
-                                   "out": out}) + "\n")
+            sink.write(json.dumps({"i": i, "t0": t0, "ms": ms, "failed": failed,
+                                   "error": error, "out": out}) + "\n")
             i += 1
     return i
 
@@ -177,6 +186,7 @@ def main():
     os.chdir(args.scratch)
     RUNNERS[args.workload](workloads.warmup(args.workload, args.seed))
     print("ready", flush=True)
+    print(reference.median_ms(SETUP_REFS), flush=True)
     if args.mode == "setup":
         return 0
 

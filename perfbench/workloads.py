@@ -6,9 +6,13 @@ check the results.  ``op(workload, seed, i)`` is a pure function of its
 arguments, so the worker and the checking parent regenerate identical inputs.
 
 Inputs are stratified: the properties that set an op's cost follow the op
-counter, and only the values inside a stratum are drawn at random.  Every run
-therefore covers the same mix of integrands, tolerances, cutoff decades and
-grid sizes, which keeps throughput and latencies comparable between seeds.
+counter.  The values inside a stratum that still move the cost (shift, mass,
+cutoff, rung count, Yukawa ranges, momentum ranges) come from ``_even``
+sequences, which fill their range evenly over any run of consecutive ops and
+take only their offset from the seed; the rest are drawn at random.  Every
+run therefore covers the same mix of costs, whatever its seed and however
+many ops it completes, which keeps throughput and latencies, tails included,
+comparable between seeds.
 """
 
 import math
@@ -17,6 +21,10 @@ import random
 import numpy as np
 
 WORKLOADS = ("ladder", "kernel", "cli")
+# Percentile op_ms_tail reports.  It is fixed, not derived from the number of
+# ops a run completes, which follows the host's and the program's speed.  In
+# a 30-second run at today's speed each leaves at least 17 ops beyond it.
+TAIL_PERCENTILE = {"ladder": 99, "kernel": 95, "cli": 99}
 
 LADDER_KINDS = ("shifted", "component", "volume", "callable")
 LADDER_TOLS = (1e-6, 1e-8, 1e-10)
@@ -31,6 +39,21 @@ KERNEL_S1_TOL = 1e-12     # s1's default quad_tol
 
 def _rng(workload, seed, i):
     return random.Random(f"{workload}:{seed}:{i}")
+
+
+# Irrational steps, one per even sequence, so that no two sequences move in
+# step: frac(sqrt(q)) for primes q.
+_STEPS = {name: math.sqrt(q) % 1.0 for name, q in (
+    ("p", 2), ("ell", 3), ("lmax", 5), ("decades", 7), ("rungs", 11),
+    ("beta0", 13), ("beta1", 17), ("beta2", 19), ("k0", 23), ("kmax", 29), ("kmin", 31))}
+
+
+def _even(workload, seed, name, k):
+    """k-th value in [0, 1) of a Kronecker sequence frac(u0 + k * step):
+    any run of consecutive k covers [0, 1) evenly, and the seed only sets
+    the offset u0."""
+    u0 = random.Random(f"{workload}:{seed}:{name}").random()
+    return (u0 + k * _STEPS[name]) % 1.0
 
 
 def _direction(rng):
@@ -62,18 +85,25 @@ def ladder_op(seed, i):
     strata = ladder_strata()
     kind, tol, dec = strata[i % len(strata)]
     rng = _rng("ladder", seed, i)
+
+    def even(name):
+        # Indexed by i, not by the pass over the strata: neighbouring ops then
+        # differ, and each stratum's values still form a Kronecker sequence.
+        return _even("ladder", seed, name, i)
+
+    u = even("p")
     if kind == "volume":
         p_mag = 0.0
     elif kind == "component":
-        p_mag = rng.uniform(0.05, 1.5)
+        p_mag = 0.05 + 1.45 * u
     else:
-        p_mag = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 1.5)
+        p_mag = 0.0 if u < 0.1 else 1.5 * (u - 0.1) / 0.9
     p = [p_mag * c for c in _direction(rng)]
-    ell = sum(c * c for c in p) + rng.uniform(0.05, 5.0)
-    lmax = _log_uniform(rng, 10.0 ** dec, 10.0 ** (dec + 1))
-    decades = rng.uniform(2.0, 5.0)
+    ell = sum(c * c for c in p) + 0.05 + 4.95 * even("ell")
+    lmax = 10.0 ** (dec + even("lmax"))
+    decades = 2.0 + 3.0 * even("decades")
     lmin = lmax / 10.0 ** decades
-    rungs = rng.randint(6, 16)
+    rungs = 6 + int(11 * even("rungs"))
     ratio = (lmax / lmin) ** (1.0 / (rungs - 1))
     radii = [lmin * ratio ** k for k in range(rungs - 1)] + [lmax]
     return {
@@ -99,10 +129,11 @@ def _gauss_legendre_grid(n, kmin, kmax):
     return [float(v) for v in half * (x + 1.0) + kmin], [float(v) for v in half * w]
 
 
-def _sub_uniform(rng, lo, hi, part, parts):
-    """Uniform draw inside sub-interval ``part`` of ``parts`` equal pieces."""
+def _sub_interval(u, lo, hi, part, parts):
+    """The point at fraction u of sub-interval ``part`` of ``parts`` equal
+    pieces of [lo, hi]."""
     width = (hi - lo) / parts
-    return rng.uniform(lo + part * width, lo + (part + 1) * width)
+    return lo + (part + u) * width
 
 
 def kernel_op(seed, i):
@@ -118,7 +149,8 @@ def kernel_op(seed, i):
     0..4, each term's beta through the thirds of [0.5, 5] and the grid's upper
     end through the halves of [2, 8].  Runs of different seeds therefore do
     the same mix of work, and its latencies spread smoothly instead of in
-    clusters.
+    clusters.  The betas, grid ends and s1 momentum floor inside those
+    strata come from even sequences per kind of op.
 
     Apply grids start at k >= 0.5: with l = 4, beta = 0.5 and momenta near
     0.05 every kernel pair exhausts segment_integrate's evaluation budget
@@ -129,26 +161,31 @@ def kernel_op(seed, i):
     apply = i % 3 == 0
     k = i // 3 if apply else 2 * (i // 3) + i % 3 - 1
     rng = _rng("kernel", seed, i)
+    kind = "kernel-apply" if apply else "kernel-s1"
+
+    def even(name):
+        return _even(kind, seed, name, k)
+
     terms = 1 + k % 3
     op = {
         # Every fifth op is pure Yukawa (z = 0), the others carry a Coulomb tail.
         "z": 0.0 if i % 5 == 0 else rng.uniform(-2.0, 2.0),
         "e": rng.uniform(0.1, 1.0),
         "ell": k % 5,
-        "measure": [[_sub_uniform(rng, 0.5, 5.0, (k + t) % 3, 3),
+        "measure": [[_sub_interval(even(f"beta{t}"), 0.5, 5.0, (k + t) % 3, 3),
                      rng.choice((-1, 1)) * rng.uniform(0.1, 1.0)] for t in range(terms)],
     }
-    kmax = _sub_uniform(rng, 2.0, 8.0, k % 2, 2)
+    kmax = _sub_interval(even("kmax"), 2.0, 8.0, k % 2, 2)
     if apply:
         n = 10 + (13 * k) % 31
-        nodes, weights = _gauss_legendre_grid(n, rng.uniform(0.5, 1.0), kmax)
+        nodes, weights = _gauss_legendre_grid(n, 0.5 + 0.5 * even("k0"), kmax)
         op.update(op="apply", nodes=nodes, weights=weights,
                   f_re=[rng.uniform(-1.0, 1.0) for _ in range(n)],
                   f_im=[rng.uniform(-1.0, 1.0) for _ in range(n)],
                   tol=KERNEL_APPLY_TOL)
     else:
         count = 20 + (11 * k) % 41
-        kmin = _log_uniform(rng, 0.05, 0.5)
+        kmin = 0.05 * 10.0 ** even("kmin")
         ks = [kmin * (kmax / kmin) ** (j / (count - 1)) for j in range(count)]
         op.update(op="s1", ks=ks, tol=KERNEL_S1_TOL)
     return op
