@@ -11,8 +11,18 @@ import time
 
 import numpy as np
 
-from devfactor._kernels import KIND_INV_SQUARE, available_backends, get_backend
-from devfactor.quadrature import chebyshev_pair
+import devfactor._kernels as kernels
+from devfactor._kernels import KIND_INV_SQUARE, _ball4_py
+from devfactor.quadrature import (
+    ball4_integrate,
+    chebyshev_pair,
+    shifted_denominator_integrand,
+)
+
+try:
+    from devfactor._kernels import _ball4
+except ImportError:
+    _ball4 = None
 
 
 def time_call(fn, repeats):
@@ -24,8 +34,7 @@ def time_call(fn, repeats):
     return best
 
 
-def bench_reduce(backend_name, repeats):
-    impl = get_backend(backend_name)
+def bench_reduce(impl, repeats):
     x, wf, wc = chebyshev_pair(24)  # 49 angular nodes
     r = np.geomspace(0.01, 100.0, 4000)
 
@@ -35,12 +44,8 @@ def bench_reduce(backend_name, repeats):
     return time_call(run, repeats)
 
 
-def bench_ball(backend_name, repeats):
-    # Re-import under a forced backend by swapping the dispatch attribute.
-    import devfactor._kernels as kernels
-    from devfactor.quadrature import ball4_integrate, shifted_denominator_integrand
-
-    impl = get_backend(backend_name)
+def bench_ball(impl, repeats):
+    # quadrature looks the kernel up at call time; swap the dispatch attribute.
     saved = kernels.reduce_axial
     kernels.reduce_axial = impl.reduce_axial
     p = np.array([0.5, 0.0, 0.0, 0.0])
@@ -61,16 +66,16 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    names = available_backends()
-    print(f"backends available: {', '.join(names)}")
-    if "compiled" not in names:
+    backends = {"numpy": _ball4_py}
+    if _ball4 is None:
         print("compiled extension not built; timing the fallback only")
+    else:
+        backends["compiled"] = _ball4
 
     rows = []
-    for name in names:
-        t_reduce = bench_reduce(name, args.repeats)
-        t_ball = bench_ball(name, args.repeats)
-        rows.append((name, t_reduce, t_ball))
+    for name, impl in backends.items():
+        rows.append((name, bench_reduce(impl, args.repeats),
+                     bench_ball(impl, args.repeats)))
 
     print(f"{'backend':<10} {'reduce_axial 4000x49':>22} {'ball4 tol 1e-10':>18}")
     for name, t_reduce, t_ball in rows:

@@ -1,56 +1,20 @@
 """Backend selection for the quadrature fast-path kernels.
 
-The compiled extension is preferred when it imported cleanly; the NumPy
-fallback implements the identical function surface.  Set DEVFACTOR_KERNELS to
-"numpy" or "compiled" to force a backend (forcing "compiled" raises if the
-extension is unavailable).
+The compiled extension is used when it imports; otherwise the NumPy fallback,
+which implements the identical function surface.  BACKEND names the choice.
 """
-
-import os
 
 from . import _ball4_py
 
-_FORCED = os.environ.get("DEVFACTOR_KERNELS", "").strip().lower()
-
-if _FORCED in ("numpy", "python", "py"):
+try:
+    from . import _ball4 as _impl
+    BACKEND = "compiled"
+except ImportError:
     _impl = _ball4_py
     BACKEND = "numpy"
-elif _FORCED in ("", "compiled", "c"):
-    try:
-        from . import _ball4 as _impl
-        BACKEND = "compiled"
-    except ImportError:
-        if _FORCED:
-            raise ImportError(
-                "DEVFACTOR_KERNELS=compiled but the extension is not built")
-        _impl = _ball4_py
-        BACKEND = "numpy"
-else:
-    raise ValueError(
-        f"DEVFACTOR_KERNELS={_FORCED!r} not recognized (use 'numpy' or 'compiled')")
 
 KIND_ONE = _ball4_py.KIND_ONE
 KIND_INV_SQUARE = _ball4_py.KIND_INV_SQUARE
 KIND_AXIAL_COMPONENT = _ball4_py.KIND_AXIAL_COMPONENT
 
 reduce_axial = _impl.reduce_axial
-
-
-def available_backends():
-    names = ["numpy"]
-    try:
-        from . import _ball4  # noqa: F401
-        names.append("compiled")
-    except ImportError:
-        pass
-    return tuple(names)
-
-
-def get_backend(name):
-    """Return the kernel module for an explicit backend name."""
-    if name == "numpy":
-        return _ball4_py
-    if name == "compiled":
-        from . import _ball4
-        return _ball4
-    raise ValueError(f"unknown backend {name!r}")

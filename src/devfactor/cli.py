@@ -28,7 +28,8 @@ from .expansions import (
     AsymptoticExpansion,
     CouplingSeries,
     deviation_factor,
-    regularize_series,
+    regularize_term,
+    series_factor,
 )
 from .dirac import eigensystem, hamiltonian
 from .fitting import (
@@ -300,12 +301,14 @@ def cmd_regularize(args):
     coefficients = [AsymptoticExpansion.from_json_dict(d) for d in coeff_dicts]
     series = CouplingSeries(coupling, coefficients)
     lambdas = args.lambdas
+    if not lambdas:
+        raise ValueError("need at least one regulator value")
     if any(l <= 0 for l in lambdas):
         raise ValueError("regulator values must be positive")
+    factor = series_factor(series)
     evaluations = []
-    factor = None
     for lam in lambdas:
-        factor, regular = regularize_series(series, lam)
+        regular = [regularize_term(a, lam) for a in series.coefficients]
         raw = series.value_at(lam)
         tilde = 1.0 + sum((series.coupling ** m) * r
                           for m, r in enumerate(regular, start=1))
@@ -331,22 +334,16 @@ def cmd_regularize(args):
 
 
 def cmd_example(args):
-    ident = args.id
-    aliases = {"electron": qed.ELECTRON_EXAMPLE_ID,
-               "photon": qed.PHOTON_EXAMPLE_ID,
-               "vertex": qed.VERTEX_EXAMPLE_ID}
-    ident = aliases.get(ident, ident)
-    if ident == qed.ELECTRON_EXAMPLE_ID:
-        report = qed.electron_self_energy(np.array(args.p), args.m, args.e,
-                                          cross_check_ladder=args.cross_check)
-    elif ident == qed.PHOTON_EXAMPLE_ID:
-        report = qed.photon_self_energy(args.p2, args.m, args.e)
-    elif ident == qed.VERTEX_EXAMPLE_ID:
-        report = qed.vertex_part(args.m, args.e, args.photon_mass,
-                                 args.cutoff, args.mu)
-    else:
-        raise ValueError(f"unknown example id {args.id!r}; known ids "
-                         f"{sorted(qed.EXAMPLE_NAMES)} or names {sorted(aliases)}")
+    ident = qed.resolve_example(args.id)
+    arguments = {
+        qed.ELECTRON_EXAMPLE_ID: {"p": np.array(args.p), "m": args.m, "e": args.e,
+                                  "cross_check_ladder": args.cross_check},
+        qed.PHOTON_EXAMPLE_ID: {"p_sq": args.p2, "m": args.m, "e": args.e},
+        qed.VERTEX_EXAMPLE_ID: {"m": args.m, "e": args.e,
+                                "photon_mass": args.photon_mass,
+                                "cutoff": args.cutoff, "mu": args.mu},
+    }
+    report = qed.example_report(ident, **arguments[ident])
     _write_json(_out_path(args, f"example_{report.example_id}.json"),
                 report.to_json_dict())
     return 0

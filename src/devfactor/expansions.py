@@ -426,6 +426,17 @@ class DeviationFactor:
                    dim=data.get("dim"))
 
 
+def _absorbed_exponent(divergent, weight, refusal, tol=ADMISSIBILITY_TOL):
+    """Exponent terms weight * (C - C^dag) / 2j for each divergent coefficient
+    C, i.e. C/i projected to its Hermitian part.  Raises AdmissibilityError
+    with the refusal message unless every C is i times Hermitian."""
+    report = check_admissible(divergent, tol=tol)
+    if not report.passed:
+        detail = "; ".join(str(v) for v in report.violations)
+        raise AdmissibilityError(f"{refusal}: {detail}", report)
+    return {b: weight * (c - c.conj().T) / 2j for b, c in divergent.terms.items()}
+
+
 def deviation_factor(divergent, coupling=1.0, coupling_power=0,
                      reference_scale=1.0, tol=ADMISSIBILITY_TOL):
     """Build the deviation factor absorbing a divergent expansion.
@@ -434,16 +445,8 @@ def deviation_factor(divergent, coupling=1.0, coupling_power=0,
     i H_b, weighted by coupling**coupling_power.  Raises AdmissibilityError if
     the structure check fails.
     """
-    report = check_admissible(divergent, tol=tol)
-    if not report.passed:
-        detail = "; ".join(str(v) for v in report.violations)
-        raise AdmissibilityError(
-            f"divergent coefficients are not absorbable: {detail}", report)
-    weight = coupling ** coupling_power
-    exponent = {}
-    for b, c in divergent.terms.items():
-        h = (c - c.conj().T) / 2j  # Hermitian part of C/i
-        exponent[b] = weight * h
+    exponent = _absorbed_exponent(divergent, coupling ** coupling_power,
+                                  "divergent coefficients are not absorbable", tol)
     return DeviationFactor(divergent.regulator, exponent,
                            reference_scale=reference_scale, dim=divergent.dim)
 
@@ -493,35 +496,33 @@ class CouplingSeries:
         return complex(base[0, 0]) if self.dim == 1 else base
 
 
+def series_factor(series):
+    """The one deviation factor absorbing the divergences of every order of a
+    coupling series: the order-m divergent coefficients enter its exponent
+    weighted by coupling^m.  Raises AdmissibilityError naming the offending
+    order when some divergent coefficient is not i times Hermitian."""
+    exponent = {}
+    for m, a in enumerate(series.coefficients, start=1):
+        absorbed = _absorbed_exponent(a.divergent_part(), series.coupling ** m,
+                                      f"order {m} coefficient is not absorbable")
+        for b, h in absorbed.items():
+            exponent[b] = exponent[b] + h if b in exponent else h
+    return DeviationFactor(series.regulator, exponent, dim=series.dim)
+
+
 def regularize_series(series, lam):
     """Split off the divergences of a coupling series into one deviation factor.
 
     Per order m the divergent part of a_m is subtracted pointwise, leaving the
     regularized coefficient value a_m(lam) - (divergent part)(lam); the factor
-    exponent collects the absorbed pieces weighted by coupling^m.  Raises
-    AdmissibilityError naming the offending order when some divergent
-    coefficient is not i times Hermitian.
+    is series_factor(series) and does not depend on lam.  Raises
+    AdmissibilityError as series_factor does.
 
     Returns (factor, regular) where regular is the list of regularized
     coefficient values at lam, one entry per order.
     """
-    exponent = {}
-    regular = []
-    for m, a in enumerate(series.coefficients, start=1):
-        divergent = a.divergent_part()
-        if divergent.terms:
-            report = check_admissible(divergent)
-            if not report.passed:
-                detail = "; ".join(str(v) for v in report.violations)
-                raise AdmissibilityError(
-                    f"order {m} coefficient is not absorbable: {detail}", report)
-        weight = series.coupling ** m
-        for b, c in divergent.terms.items():
-            h = weight * (c - c.conj().T) / 2j
-            exponent[b] = exponent[b] + h if b in exponent else h
-        regular.append(a.value_at(lam) - divergent.value_at(lam))
-    factor = DeviationFactor(series.regulator, exponent, dim=series.dim)
-    return factor, regular
+    factor = series_factor(series)
+    return factor, [regularize_term(a, lam) for a in series.coefficients]
 
 
 def model_series(phi, psis, e, lam, n_orders):

@@ -51,6 +51,11 @@ EXAMPLE_NAMES = {
     PHOTON_EXAMPLE_ID: "photon-self-energy",
     VERTEX_EXAMPLE_ID: "vertex-part",
 }
+EXAMPLE_ALIASES = {
+    "electron": ELECTRON_EXAMPLE_ID,
+    "photon": PHOTON_EXAMPLE_ID,
+    "vertex": VERTEX_EXAMPLE_ID,
+}
 
 
 def standard_integral_log(p, ell, cutoff):
@@ -452,19 +457,19 @@ def vertex_part(m, e, photon_mass, cutoff, mu):
     )
 
 
+def resolve_example(example_id):
+    """Opaque identifier of an example given by identifier or by name."""
+    key = EXAMPLE_ALIASES.get(example_id, example_id)
+    if key not in EXAMPLE_NAMES:
+        raise ValueError(f"unknown example id {example_id!r}; known ids "
+                         f"{sorted(EXAMPLE_NAMES)} or names {sorted(EXAMPLE_ALIASES)}")
+    return key
+
+
 def example_report(example_id, **kwargs):
     """Dispatch an example by its opaque identifier or by name."""
-    aliases = {
-        "electron": ELECTRON_EXAMPLE_ID,
-        "photon": PHOTON_EXAMPLE_ID,
-        "vertex": VERTEX_EXAMPLE_ID,
-    }
-    key = aliases.get(example_id, example_id)
-    if key == ELECTRON_EXAMPLE_ID:
-        return electron_self_energy(**kwargs)
-    if key == PHOTON_EXAMPLE_ID:
-        return photon_self_energy(**kwargs)
-    if key == VERTEX_EXAMPLE_ID:
-        return vertex_part(**kwargs)
-    raise ValueError(f"unknown example {example_id!r}; "
-                     f"known: {sorted(EXAMPLE_NAMES)} or {sorted(aliases)}")
+    # built per call so that the module's current bindings are used
+    run = {ELECTRON_EXAMPLE_ID: electron_self_energy,
+           PHOTON_EXAMPLE_ID: photon_self_energy,
+           VERTEX_EXAMPLE_ID: vertex_part}
+    return run[resolve_example(example_id)](**kwargs)

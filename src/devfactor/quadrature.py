@@ -142,53 +142,78 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
     if endpoint_singular and max_evals == _DEFAULT_SEGMENT_EVALS:
         max_evals = 5 * _DEFAULT_SEGMENT_EVALS
 
-    neval = 0
     complex_seen = False
 
-    def make_panel(lo, hi):
-        nonlocal neval, complex_seen
+    def panel(lo, hi):
+        nonlocal complex_seen
         h = 0.5 * (hi - lo)
         c = 0.5 * (lo + hi)
-        xs = c + h * GK_NODES
-        ys = _eval_1d(f, xs)
-        neval += xs.size
+        ys = _eval_1d(f, c + h * GK_NODES)
         if np.iscomplexobj(ys):
             complex_seen = True
         ys = ys.astype(complex)
         k = h * np.dot(GK_WEIGHTS, ys)
-        g = h * np.dot(G7_WEIGHTS, ys)
-        return (lo, hi, k, abs(k - g))
+        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, ys)))
 
+    value, err, _, converged, neval = _refine(
+        panel, a, b, tol, abs_tol, max_evals, GK_NODES.size, False)
+    return QuadratureResult(value if complex_seen else value.real, err,
+                            converged, neval)
+
+
+def _refine(panel, a, b, tol, abs_tol, max_evals, per_panel, angular):
+    """Worst-first adaptive Gauss-Kronrod refinement of [a, b] (QUADPACK QAG).
+
+    panel(lo, hi) samples one panel with per_panel evaluations and returns
+    (lo, hi, Kronrod value, |Kronrod - Gauss|), plus the angular error when
+    angular is set.  The panel with the largest error is bisected until the
+    summed errors meet max(abs_tol, tol * |value|), the angular error
+    dominates (unconverged; the caller may raise the angular order), or the
+    next bisection would exceed max_evals.  Panels too narrow to bisect in
+    floating point are frozen as they are.  Returns (complex value, error,
+    angular error, converged, nevals), summed with compensation over the
+    panels sorted by position.
+    """
+    neval = per_panel
     counter = 0
-    first = make_panel(a, b)
+    first = panel(a, b)
     heap = [(-first[3], counter, first)]
     frozen = []
     converged = True
     while True:
         total = sum(p[2] for _, _, p in heap) + sum(p[2] for p in frozen)
         err = sum(p[3] for _, _, p in heap) + sum(p[3] for p in frozen)
-        if err <= max(abs_tol, tol * abs(total)):
+        need = max(abs_tol, tol * abs(total))
+        if angular:
+            ang = sum(p[4] for _, _, p in heap) + sum(p[4] for p in frozen)
+            if err + ang <= need:
+                break
+            if err <= 0.25 * need and ang > 0.75 * need:
+                converged = False
+                break
+        elif err <= need:
             break
-        if not heap or neval + 30 > max_evals:
+        if not heap or neval + 2 * per_panel > max_evals:
             converged = False
             break
-        _, _, (lo, hi, _, _) = heapq.heappop(heap)
+        worst = heapq.heappop(heap)[2]
+        lo, hi = worst[0], worst[1]
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            # float resolution reached; keep the panel as is
-            frozen.append(make_panel(lo, hi))
+            frozen.append(panel(lo, hi))
+            neval += per_panel
             continue
-        for piece in (make_panel(lo, mid), make_panel(mid, hi)):
+        for piece in (panel(lo, mid), panel(mid, hi)):
             counter += 1
             heapq.heappush(heap, (-piece[3], counter, piece))
+        neval += 2 * per_panel
 
     panels = sorted([p for _, _, p in heap] + frozen, key=lambda p: p[0])
     value = complex(math.fsum(p[2].real for p in panels),
                     math.fsum(p[2].imag for p in panels))
     err = math.fsum(p[3] for p in panels)
-    if not complex_seen:
-        value = value.real
-    return QuadratureResult(value, err, converged, neval)
+    ang = math.fsum(p[4] for p in panels) if angular else 0.0
+    return value, err, ang, converged, neval
 
 
 def _unit(v):
@@ -291,33 +316,23 @@ def _eval_points(f, pts):
     return vals
 
 
-class _CallableWithAxis:
-    """Callable integrand tagged with its symmetry axis."""
-
-    def __init__(self, f, axis):
-        self._f = f
-        self.axis = axis
-
-    def __call__(self, pts):
-        return self._f(pts)
-
-
 class _AxialReducer:
     """Angular averages over the 3-sphere for an axially symmetric integrand:
-    4 pi * int f(r, x) sqrt(1 - x^2) dx by the embedded Chebyshev pair."""
+    4 pi * int f(r, x) sqrt(1 - x^2) dx by the embedded Chebyshev pair.  A
+    callable integrand needs its symmetry axis; a built-in carries its own."""
 
-    def __init__(self, f, n):
+    def __init__(self, f, n, axis=None):
         self.f = f
         self.builtin = isinstance(f, BallIntegrand)
         self.set_order(n)
         if not self.builtin:
-            axis = f.axis if hasattr(f, "axis") else None
             self.a_hat = _unit(axis)
             self.b_hat = _orthonormal_to(self.a_hat)
 
     def set_order(self, n):
         self.n = n
         self.x, self.wf, self.wc = chebyshev_pair(n)
+        self.points = self.x.size  # angular evaluations per radius
 
     def __call__(self, r):
         if self.builtin:
@@ -331,7 +346,6 @@ class _AxialReducer:
                                  * _orthonormal_to(self.f.axis))
                 raise NonFiniteIntegrandError(
                     "integrand is not finite", tuple(float(c) for c in point))
-            nev = r.size * self.x.size
         else:
             s = np.sqrt(1.0 - self.x ** 2)
             dirs = self.x[:, None] * self.a_hat + s[:, None] * self.b_hat
@@ -339,8 +353,7 @@ class _AxialReducer:
             vals = _eval_points(self.f, pts).reshape(r.size, self.x.size)
             fine = vals @ self.wf
             coarse = vals @ self.wc
-            nev = pts.shape[0]
-        return FOUR_PI * fine, FOUR_PI * coarse, nev
+        return FOUR_PI * fine, FOUR_PI * coarse
 
     def escalate(self):
         self.set_order(2 * self.n + 1)
@@ -374,6 +387,7 @@ class _ProductReducer:
         omega[..., 2] = sx[:, None, None] * sy[None, :, None] * np.cos(phi)
         omega[..., 3] = sx[:, None, None] * sy[None, :, None] * np.sin(phi)
         self.dirs = omega.reshape(-1, 4)
+        self.points = self.dirs.shape[0]  # angular evaluations per radius
         wp = np.full(naz, wphi)
         self.w_fine = (wf[:, None, None] * wy[None, :, None]
                        * wp[None, None, :]).reshape(-1)
@@ -382,8 +396,8 @@ class _ProductReducer:
 
     def __call__(self, r):
         pts = (r[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4)
-        vals = _eval_points(self.f, pts).reshape(r.size, self.dirs.shape[0])
-        return vals @ self.w_fine, vals @ self.w_coarse, pts.shape[0]
+        vals = _eval_points(self.f, pts).reshape(r.size, self.points)
+        return vals @ self.w_fine, vals @ self.w_coarse
 
     def escalate(self):
         self.set_order(2 * self.n + 1)
@@ -412,8 +426,10 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
     if isinstance(f, BallIntegrand):
         reducer = _AxialReducer(f, _AXIAL_ORDER if angular_order is None else angular_order)
     elif axis is not None:
-        wrapped = _CallableWithAxis(f, _unit(np.asarray(axis, dtype=float)))
-        reducer = _AxialReducer(wrapped, _AXIAL_ORDER if angular_order is None else angular_order)
+        # the reducer normalizes the unit axis once more; results depend on
+        # that rounding, so keep both steps
+        reducer = _AxialReducer(f, _AXIAL_ORDER if angular_order is None else angular_order,
+                                _unit(axis))
     else:
         reducer = _ProductReducer(f, _GENERIC_ORDER if angular_order is None else angular_order,
                                   polar_order, azimuthal_order)
@@ -440,66 +456,28 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
 def _adaptive_radial(reducer, radius, tol, abs_tol, max_evals):
     """Worst-first radial refinement; returns (value, radial error, angular
     error, converged, nevals)."""
-    neval = 0
     complex_seen = False
 
-    def make_panel(lo, hi):
-        nonlocal neval, complex_seen
+    def panel(lo, hi):
+        nonlocal complex_seen
         h = 0.5 * (hi - lo)
         c = 0.5 * (lo + hi)
         r = c + h * GK_NODES
-        fine, coarse, nev = reducer(r)
-        neval += nev
+        fine, coarse = reducer(r)
         if np.iscomplexobj(fine):
             complex_seen = True
-        fine = fine.astype(complex)
-        coarse = coarse.astype(complex)
-        g_fine = (r ** 3) * fine
-        g_coarse = (r ** 3) * coarse
+        g_fine = (r ** 3) * fine.astype(complex)
+        g_coarse = (r ** 3) * coarse.astype(complex)
         k = h * np.dot(GK_WEIGHTS, g_fine)
-        g = h * np.dot(G7_WEIGHTS, g_fine)
         ang = h * np.dot(GK_WEIGHTS, np.abs(g_fine - g_coarse))
-        return (lo, hi, k, abs(k - g), float(ang))
+        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, g_fine)), float(ang))
 
-    counter = 0
-    per_panel = 15 * max(reducer.x.size if isinstance(reducer, _AxialReducer)
-                         else reducer.dirs.shape[0], 1)
+    per_panel = GK_NODES.size * reducer.points
     if per_panel > max_evals:
         return 0.0 + 0j, math.inf, math.inf, False, 0
-    first = make_panel(0.0, radius)
-    heap = [(-first[3], counter, first)]
-    frozen = []
-    converged = True
-    while True:
-        total = sum(p[2] for _, _, p in heap) + sum(p[2] for p in frozen)
-        rad = sum(p[3] for _, _, p in heap) + sum(p[3] for p in frozen)
-        ang = sum(p[4] for _, _, p in heap) + sum(p[4] for p in frozen)
-        need = max(abs_tol, tol * abs(total))
-        if rad + ang <= need:
-            break
-        if rad <= 0.25 * need and ang > 0.75 * need:
-            converged = False  # angular error dominates; caller may escalate
-            break
-        if not heap or neval + 2 * per_panel > max_evals:
-            converged = False
-            break
-        _, _, (lo, hi, _, _, _) = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            frozen.append(make_panel(lo, hi))
-            continue
-        for piece in (make_panel(lo, mid), make_panel(mid, hi)):
-            counter += 1
-            heapq.heappush(heap, (-piece[3], counter, piece))
-
-    panels = sorted([p for _, _, p in heap] + frozen, key=lambda p: p[0])
-    value = complex(math.fsum(p[2].real for p in panels),
-                    math.fsum(p[2].imag for p in panels))
-    rad = math.fsum(p[3] for p in panels)
-    ang = math.fsum(p[4] for p in panels)
-    if not complex_seen:
-        value = value.real
-    return value, rad, ang, converged, neval
+    value, rad, ang, converged, neval = _refine(
+        panel, 0.0, radius, tol, abs_tol, max_evals, per_panel, True)
+    return value if complex_seen else value.real, rad, ang, converged, neval
 
 
 @dataclass

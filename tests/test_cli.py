@@ -191,6 +191,18 @@ def test_regularize_rejects_bad_lambda(tmp_path, capsys):
     assert "positive" in err["error"]["message"]
 
 
+def test_regularize_rejects_empty_lambda_list(tmp_path, capsys):
+    infile = tmp_path / "series.json"
+    write_series_file(infile)
+    rc = main(["regularize", "--infile", str(infile),
+               "--lambdas", ",", "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["kind"] == "error"
+    assert "at least one" in err["error"]["message"]
+    assert not (tmp_path / "regularize.json").exists()
+
+
 def test_regularize_rejects_malformed_series(tmp_path, capsys):
     infile = tmp_path / "series.json"
     infile.write_text(json.dumps({"coupling": 0.1}))

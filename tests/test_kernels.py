@@ -1,9 +1,5 @@
 """Backend dispatch tests: the compiled fast path and its NumPy fallback must
-be interchangeable, and the environment switch must be honored."""
-
-import os
-import subprocess
-import sys
+be interchangeable, and the compiled one is used whenever it imports."""
 
 import numpy as np
 import pytest
@@ -13,8 +9,7 @@ from devfactor._kernels import (
     KIND_AXIAL_COMPONENT,
     KIND_INV_SQUARE,
     KIND_ONE,
-    available_backends,
-    get_backend,
+    _ball4_py,
 )
 from devfactor.quadrature import (
     ball4_integrate,
@@ -22,55 +17,48 @@ from devfactor.quadrature import (
     shifted_denominator_integrand,
 )
 
-HAVE_COMPILED = "compiled" in available_backends()
+
+def _compiled():
+    return pytest.importorskip("devfactor._kernels._ball4")
 
 
 def test_backend_inventory():
-    names = available_backends()
-    assert "numpy" in names
-    assert kernels.BACKEND in names
+    assert kernels.BACKEND in ("numpy", "compiled")
+    assert (kernels.reduce_axial is _ball4_py.reduce_axial) == (
+        kernels.BACKEND == "numpy")
     assert len({KIND_ONE, KIND_INV_SQUARE, KIND_AXIAL_COMPONENT}) == 3
-
-
-def test_get_backend_unknown():
-    with pytest.raises(ValueError):
-        get_backend("fortran")
 
 
 def test_numpy_backend_rejects_unknown_kind():
     x, wf, wc = chebyshev_pair(3)
     with pytest.raises(ValueError):
-        get_backend("numpy").reduce_axial(99, 1.0, 1.0, np.array([1.0]),
-                                          x, wf, wc)
+        _ball4_py.reduce_axial(99, 1.0, 1.0, np.array([1.0]), x, wf, wc)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled extension not built")
 @pytest.mark.parametrize("kind", [KIND_ONE, KIND_INV_SQUARE,
                                   KIND_AXIAL_COMPONENT])
 def test_backends_agree(kind):
+    compiled = _compiled()
     x, wf, wc = chebyshev_pair(6)
     r = np.geomspace(0.1, 8.0, 17)
     p, ell = 0.7, 0.3
-    f_py, c_py, bad_py = get_backend("numpy").reduce_axial(
-        kind, p, ell, r, x, wf, wc)
-    f_c, c_c, bad_c = get_backend("compiled").reduce_axial(
-        kind, p, ell, r, x, wf, wc)
+    f_py, c_py, bad_py = _ball4_py.reduce_axial(kind, p, ell, r, x, wf, wc)
+    f_c, c_c, bad_c = compiled.reduce_axial(kind, p, ell, r, x, wf, wc)
     assert bad_py is None and bad_c is None
     assert np.allclose(f_c, f_py, rtol=1e-12, atol=0)
     assert np.allclose(c_c, c_py, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("name", ["numpy"] + (["compiled"] if HAVE_COMPILED
-                                              else []))
+@pytest.mark.parametrize("name", ["numpy", "compiled"])
 def test_nonfinite_location_reported(name):
+    impl = _ball4_py if name == "numpy" else _compiled()
     # denominator r^2 - 2 p r x + ell vanishes at r = 1, x = 0.5 for p = 1,
     # ell = 0
     x = np.array([0.2, 0.5, 0.8])
     wf = np.ones(3)
     wc = np.ones(3)
     r = np.array([0.7, 1.0])
-    fine, coarse, bad = get_backend(name).reduce_axial(
-        KIND_INV_SQUARE, 1.0, 0.0, r, x, wf, wc)
+    fine, coarse, bad = impl.reduce_axial(KIND_INV_SQUARE, 1.0, 0.0, r, x, wf, wc)
     assert fine is None and coarse is None
     assert bad == (1.0, 0.5)
 
@@ -94,34 +82,3 @@ def test_ball4_uses_kernel_for_builtin(monkeypatch):
                           3.0, tol=1e-8)
     assert res.converged
     assert calls["n"] == 0  # generic callables take the product-rule path
-
-
-def _run_with_env(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("DEVFACTOR_KERNELS", None)
-    else:
-        env["DEVFACTOR_KERNELS"] = value
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import devfactor._kernels as k; print(k.BACKEND)"],
-        capture_output=True, text=True, env=env)
-
-
-def test_env_forces_numpy_backend():
-    proc = _run_with_env("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled extension not built")
-def test_env_forces_compiled_backend():
-    proc = _run_with_env("compiled")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "compiled"
-
-
-def test_env_rejects_unknown_backend():
-    proc = _run_with_env("bogus")
-    assert proc.returncode != 0
-    assert "DEVFACTOR_KERNELS" in proc.stderr

@@ -137,6 +137,16 @@ def test_segment_budget_exhaustion_reports_nonconverged():
     assert math.isfinite(res.value)
 
 
+def test_segment_freezes_panels_at_float_resolution():
+    # near 1e16 the float spacing is 2, so bisection stops at 2-wide panels;
+    # those are frozen, and tol 1e-20 can never be met
+    res = segment_integrate(lambda x: np.cos(x - 1e16), 1e16, 1e16 + 64.0,
+                            tol=1e-20, max_evals=3000)
+    assert not res.converged
+    assert res.neval == 1425
+    assert res.value == pytest.approx(-0.8421137331778507, rel=1e-12)
+
+
 def test_segment_determinism():
     f = lambda x: np.exp(-x) * np.sin(7.0 * x)
     a = segment_integrate(f, 0.0, 5.0, tol=1e-12)
