@@ -3,8 +3,11 @@
 Momentum-space radial kernel for a potential made of a Coulomb tail z/r and a
 finite sum of Yukawa terms, the action of the corresponding kinetic-plus-
 potential operator on a radial grid, and the logarithmically divergent time
-phases that the Coulomb tail produces.  The special functions needed
-(digamma, Legendre P and Q on and off the cut) are implemented here with
+phases that the Coulomb tail produces.  Every partial-wave projection is a
+Legendre function of the second kind: Neumann's integral
+Q_ell(c) = 1/2 int_-1^1 P_ell(t) / (c - t) dt (DLMF 14.12) turns the Coulomb
+tail and each Yukawa term into one Q value, with no quadrature.  The special
+functions needed (digamma, and Q above the cut) are implemented here with
 recurrence- and continued-fraction schemes chosen for the argument ranges the
 kernels actually hit, including nearly coincident momenta where the Q
 argument sits within rounding of 1.
@@ -14,13 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expansions import CONSTANT, INFRARED, LOG, AsymptoticExpansion
 from .fitting import fit
-from .quadrature import SampledIntegral, segment_integrate
+from .quadrature import SampledIntegral
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -56,59 +60,36 @@ def digamma(x):
     return acc + math.log(x) - 0.5 / x - tail
 
 
-def legendre_p(ell, x):
-    """Legendre polynomial P_ell by the three-term recurrence.
-
-    Accepts scalars or arrays; valid for any real argument (the recurrence is
-    exact), with [-1, 1] the primary range used by the kernels.
-    """
-    if ell < 0 or ell != int(ell):
-        raise ValueError(f"degree must be a non-negative integer, got {ell}")
-    ell = int(ell)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    pkm1 = np.ones_like(x)
-    if ell == 0:
-        return float(pkm1[0]) if scalar else pkm1
-    pk = x.copy()
-    for k in range(1, ell):
-        pkp1 = ((2 * k + 1) * x * pk - k * pkm1) / (k + 1)
-        pkm1, pk = pk, pkp1
-    return float(pk[0]) if scalar else pk
-
-
 def _legendre_q_shifted(ell, delta):
     """Q_ell at x = 1 + delta, taking the offset delta > 0 directly so that
     nearly coincident kernel momenta (delta far below machine epsilon) keep
     their full logarithm."""
-    if delta <= 0:
+    if not (0.0 < delta < math.inf):
         raise ValueError(f"Q is defined for arguments > 1, got offset {delta}")
     x = 1.0 + delta
-    q0 = 0.5 * math.log((2.0 + delta) / delta)
+    q0 = 0.5 * math.log1p(2.0 / delta)
     if ell == 0:
         return q0
-    q1 = x * q0 - 1.0
-    if ell == 1:
-        return q1
     s = math.sqrt(delta * (2.0 + delta))  # sqrt(x^2 - 1) without cancellation
     rho = x + s
     if rho < _FORWARD_RHO_LIMIT:
         # So close to 1 the forward recurrence amplifies errors by at most
-        # rho^(2 ell) ~ 1; run it directly.
-        qkm1, qk = q0, q1
+        # rho^(2 ell) ~ 1, and Q_1 = x Q_0 - 1 loses little to cancellation
+        # because Q_0 is large; run it directly.
+        qkm1, qk = q0, x * q0 - 1.0
         for k in range(1, ell):
             qkm1, qk = qk, ((2 * k + 1) * x * qk - k * qkm1) / (k + 1)
         return qk
     # Backward ratios r_k = Q_k / Q_{k-1} from the continued fraction
     # r_k = k / ((2k+1) x - (k+1) r_{k+1}), seeded with the asymptotic ratio.
+    # Q_1 comes from r_1 too: x Q_0 - 1 cancels catastrophically for large x.
+    # The denominator adds (2k+1) delta last, so the rounding of x = 1 + delta
+    # does not enter the ratios.
     depth = ell + max(8, int(40.0 / math.log(rho)) + 1)
     ratios = [0.0] * (ell + 1)
     r = x - s
     for k in range(depth, 0, -1):
-        r = k / ((2 * k + 1) * x - (k + 1) * r)
+        r = k / (((2 * k + 1) - (k + 1) * r) + (2 * k + 1) * delta)
         if k <= ell:
             ratios[k] = r
     q = q0
@@ -120,9 +101,9 @@ def _legendre_q_shifted(ell, delta):
 def legendre_q(ell, x):
     """Legendre function of the second kind Q_ell(x) for x > 1, ell <= 10.
 
-    Q_0 and Q_1 are closed forms; higher degrees use the forward recurrence
+    Q_0 is a closed form; higher degrees use the forward recurrence
     immediately above 1 and a backward continued-fraction scheme elsewhere,
-    keeping the relative error near 1e-12 across [1 + eps, 50].
+    keeping the relative error below 1e-13 for x - 1 in [1e-10, 1e4].
     """
     if ell < 0 or ell != int(ell):
         raise ValueError(f"degree must be a non-negative integer, got {ell}")
@@ -151,6 +132,7 @@ class CoulombPotentialSpec:
         if self.ell > MAX_Q_ELL:
             raise ValueError(
                 f"partial wave {self.ell} exceeds the validated range 0..{MAX_Q_ELL}")
+        object.__setattr__(self, "ell", int(self.ell))
         norm = []
         for pair in self.measure:
             beta, weight = pair
@@ -164,9 +146,18 @@ class CoulombPotentialSpec:
         object.__setattr__(self, "measure", tuple(norm))
 
 
-def _kernel(spec, k, p, include_coulomb, quad_tol):
-    if not (k > 0) or not (p > 0):
-        raise ValueError(f"momenta must be positive, got k={k}, p={p}")
+def _check_momentum(k):
+    """Refuse a momentum unless it is positive and its square is a normal,
+    finite float: the closed forms divide by k^2 and k p."""
+    k = float(k)
+    if not (k > 0 and sys.float_info.min <= k * k < math.inf):
+        raise ValueError(
+            f"momentum must be positive with a normal, finite square, got {k}")
+
+
+def _kernel(spec, k, p, include_coulomb):
+    _check_momentum(k)
+    _check_momentum(p)
     total = 0.0
     if include_coulomb and spec.z != 0.0:
         if abs(k - p) < POLE_TOL * max(k, p):
@@ -176,26 +167,22 @@ def _kernel(spec, k, p, include_coulomb, quad_tol):
         delta = (k - p) ** 2 / (2.0 * k * p)
         total -= (2.0 * spec.z / (math.pi * k * p)) * _legendre_q_shifted(spec.ell, delta)
     for beta, weight in spec.measure:
-        a = k * k + p * p + beta * beta
-
-        def integrand(x, _a=a, _kp=2.0 * k * p, _ell=spec.ell):
-            return legendre_p(_ell, x) / (_a - _kp * x)
-
-        res = segment_integrate(integrand, -1.0, 1.0, tol=quad_tol, abs_tol=1e-15)
-        total += (2.0 / math.pi) * weight * res.value
+        delta = ((k - p) ** 2 + beta * beta) / (2.0 * k * p)
+        total += (2.0 * weight / (math.pi * k * p)) * _legendre_q_shifted(spec.ell, delta)
     return total
 
 
-def kernel_R(spec, k, p, quad_tol=1e-12):
+def kernel_R(spec, k, p):
     """Symmetric radial kernel of the partial-wave potential.
 
     The Coulomb tail contributes -(2 z / (pi k p)) Q_ell((k^2+p^2)/(2kp)),
-    singular at k = p; each Yukawa term contributes the Legendre-weighted
-    angular integral of its propagator, evaluated by adaptive quadrature.
-    Raises ValueError when z is nonzero and the momenta coincide within
-    relative 1e-10.
+    singular at k = p; each Yukawa term (beta, w) contributes
+    (2 w / (pi k p)) Q_ell((k^2+p^2+beta^2)/(2kp)), Neumann's form of the
+    Legendre-weighted angular integral of its propagator.  Raises ValueError
+    when z is nonzero and the momenta coincide within relative 1e-10, and for
+    momenta whose square is not a positive normal float.
     """
-    return _kernel(spec, k, p, include_coulomb=True, quad_tol=quad_tol)
+    return _kernel(spec, k, p, include_coulomb=True)
 
 
 def apply_momentum_operator(spec, f, grid, quad_tol=1e-10):
@@ -206,7 +193,8 @@ def apply_momentum_operator(spec, f, grid, quad_tol=1e-10):
     sum_j w_j f_j p_j k_i R(k_i, p_j).  The singular Coulomb part of the
     kernel is omitted on the diagonal, where the off-diagonal quadrature
     weights already carry the principal-value combination; with e = 0 the
-    result is exactly the kinetic term.
+    result is exactly the kinetic term.  The kernel is in closed form, so
+    quad_tol is accepted for compatibility and ignored.
     """
     nodes, weights = grid
     nodes = np.asarray(nodes, dtype=float)
@@ -226,8 +214,7 @@ def apply_momentum_operator(spec, f, grid, quad_tol=1e-10):
     kernel = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            val = _kernel(spec, nodes[i], nodes[j],
-                          include_coulomb=(i != j), quad_tol=quad_tol)
+            val = _kernel(spec, nodes[i], nodes[j], include_coulomb=(i != j))
             kernel[i, j] = val
             kernel[j, i] = val
     out = out + spec.e * nodes * (kernel @ (weights * nodes * f))
@@ -253,19 +240,18 @@ def s1(spec, k, quad_tol=1e-12):
     """First-order scattering coefficient at momentum k.
 
     Purely imaginary: -2i z psi(ell + 1) / k from the Coulomb tail (psi the
-    digamma function) plus, per Yukawa term, -2i/k times the Legendre-weighted
-    angular integral of k / (2 k^2 (1 - x) + beta^2).
+    digamma function) plus, per Yukawa term (beta, w), -2i/k times the
+    Legendre-weighted angular integral of k / (2 k^2 (1 - x) + beta^2), which
+    is (-2i w / k^2) Q_ell(1 + beta^2/(2 k^2)) by Neumann's integral.  The
+    value is in closed form, so quad_tol is accepted for compatibility and
+    ignored.  Raises ValueError for momenta whose square is not a positive
+    normal float.
     """
-    if not (k > 0):
-        raise ValueError(f"momentum must be positive, got {k}")
+    _check_momentum(k)
     total = -2j * spec.z * digamma(spec.ell + 1) / k
     for beta, weight in spec.measure:
-
-        def integrand(x, _k=k, _b2=beta * beta, _ell=spec.ell):
-            return legendre_p(_ell, x) * _k / (2.0 * _k * _k * (1.0 - x) + _b2)
-
-        res = segment_integrate(integrand, -1.0, 1.0, tol=quad_tol, abs_tol=1e-15)
-        total += (-2j / k) * weight * res.value
+        delta = beta * beta / (2.0 * k * k)
+        total += (-2j * weight / (k * k)) * _legendre_q_shifted(spec.ell, delta)
     return total
 
 

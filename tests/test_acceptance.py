@@ -21,7 +21,6 @@ from devfactor.coulomb import (
     CoulombPotentialSpec,
     digamma,
     kernel_R,
-    legendre_p,
     legendre_q,
     s1,
 )
@@ -271,12 +270,12 @@ def test_criterion_11_special_functions():
     assert abs(legendre_q(0, x) - q0) <= 1e-12
     assert abs(legendre_q(1, x) - (x * q0 - 1.0)) <= 1e-12
 
-    xs = np.linspace(-0.95, 0.95, 21)
-    for ell in range(1, 11):
-        lhs = (ell + 1) * legendre_p(ell + 1, xs)
-        rhs = ((2 * ell + 1) * xs * legendre_p(ell, xs)
-               - ell * legendre_p(ell - 1, xs))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13
+    # Wronskian P_l Q_(l-1) - P_(l-1) Q_l = 1/l, with P_l from scipy
+    for x in (1.2, 2.0, 7.0, 30.0):
+        for ell in range(1, 11):
+            w = (scipy.special.eval_legendre(ell, x) * legendre_q(ell - 1, x)
+                 - scipy.special.eval_legendre(ell - 1, x) * legendre_q(ell, x))
+            assert abs(w - 1.0 / ell) <= 1e-10 / ell
     for x in (1.1, 2.0, 10.0, 50.0):
         for ell in range(1, 10):
             t1 = (ell + 1) * legendre_q(ell + 1, x)

@@ -292,6 +292,15 @@ def test_coulomb_bad_grid_exit_3(tmp_path, capsys):
     assert "kmin" in err["error"]["message"]
 
 
+def test_coulomb_underflowing_momentum_exit_3(tmp_path, capsys):
+    # k^2 underflows: refused instead of divided by
+    rc = main(["coulomb", "--kmin", "1e-200", "--measure", "1.0:1.0",
+               "--points", "3", "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "normal" in err["error"]["message"]
+
+
 # ------------------------------------------------------------- config
 
 

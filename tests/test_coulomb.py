@@ -1,12 +1,14 @@
 """Coulomb and Yukawa partial-wave tests.
 
-scipy.special serves as an independent oracle for the digamma and Legendre
-functions; the Neumann integral representation ties the quadrature kernel to
-the closed Legendre-Q form.
+scipy.special and mpmath serve as independent oracles for the digamma and
+Legendre functions.  The Yukawa kernels are closed Legendre-Q forms (Neumann's
+integral); adaptive quadrature of the Legendre-weighted propagator, with P_l
+from scipy, and mpmath's Q check them.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -18,13 +20,25 @@ from devfactor.coulomb import (
     coulomb_divergence_check,
     digamma,
     kernel_R,
-    legendre_p,
     legendre_q,
     s1,
     w0,
     w0_log_phase,
 )
 from devfactor.expansions import CONSTANT, INFRARED, LOG
+from devfactor.quadrature import segment_integrate
+
+
+def _mp_q(ell, x):
+    """Q_l(x) for x > 1 in mpmath, at the exact value of the float x."""
+    with mpmath.workdps(40):
+        return mpmath.legenq(ell, 0, mpmath.mpf(x), type=3)
+
+
+def _mp_q_shifted(ell, num, den):
+    """Q_l(1 + num / den) in mpmath, the offset formed exactly from floats."""
+    with mpmath.workdps(40):
+        return mpmath.legenq(ell, 0, 1 + mpmath.mpf(num) / mpmath.mpf(den), type=3)
 
 
 # ---------------------------------------------------------------- digamma
@@ -55,45 +69,6 @@ def test_digamma_domain():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             digamma(bad)
-
-
-# ---------------------------------------------------------------- Legendre P
-
-
-def test_legendre_p_pinned():
-    assert legendre_p(0, 0.37) == 1.0
-    assert legendre_p(1, 0.37) == 0.37
-    assert legendre_p(2, 0.5) == pytest.approx(-0.125, rel=1e-15)
-    for ell in range(21):
-        assert legendre_p(ell, 1.0) == pytest.approx(1.0, rel=1e-13)
-        assert legendre_p(ell, -1.0) == pytest.approx((-1.0) ** ell, rel=1e-13)
-
-
-def test_legendre_p_recurrence_residual():
-    rng = np.random.default_rng(89)
-    xs = rng.uniform(-1.0, 1.0, size=30)
-    for ell in range(1, 12):
-        lhs = (ell + 1) * legendre_p(ell + 1, xs)
-        rhs = (2 * ell + 1) * xs * legendre_p(ell, xs) - ell * legendre_p(ell - 1, xs)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13
-
-
-def test_legendre_p_orthogonality():
-    from devfactor.quadrature import segment_integrate
-
-    res = segment_integrate(lambda x: legendre_p(2, x) * legendre_p(3, x),
-                            -1.0, 1.0, tol=1e-12, abs_tol=1e-14)
-    assert abs(res.value) <= 1e-13
-    res = segment_integrate(lambda x: legendre_p(3, x) ** 2, -1.0, 1.0,
-                            tol=1e-12)
-    assert res.value == pytest.approx(2.0 / 7.0, rel=1e-12)
-
-
-def test_legendre_p_array_matches_scipy():
-    xs = np.linspace(-1.0, 1.0, 21)
-    for ell in (0, 1, 4, 9):
-        ref = np.array([scipy.special.eval_legendre(ell, x) for x in xs])
-        assert np.allclose(legendre_p(ell, xs), ref, atol=1e-13)
 
 
 # ---------------------------------------------------------------- Legendre Q
@@ -130,8 +105,9 @@ def test_legendre_q_wronskian_with_p():
     # P_l(x) Q_(l-1)(x) - P_(l-1)(x) Q_l(x) = 1/l
     for x in (1.2, 2.0, 7.0, 30.0):
         for ell in range(1, 11):
-            w = (legendre_p(ell, x) * legendre_q(ell - 1, x)
-                 - legendre_p(ell - 1, x) * legendre_q(ell, x))
+            p_l = scipy.special.eval_legendre(ell, x)
+            p_lm1 = scipy.special.eval_legendre(ell - 1, x)
+            w = p_l * legendre_q(ell - 1, x) - p_lm1 * legendre_q(ell, x)
             assert w == pytest.approx(1.0 / ell, rel=1e-10)
 
 
@@ -143,6 +119,18 @@ def test_legendre_q_against_scipy():
             got = legendre_q(ell, x)
             worst = max(worst, abs(got - ref[ell]) / abs(ref[ell]))
     assert worst <= 1e-10
+
+
+def test_legendre_q_against_mpmath():
+    # x - 1 spans the kernels' range, from nearly coincident momenta to
+    # momenta far apart; Q_1 must not be formed as x Q_0 - 1 at large x
+    worst = 0.0
+    for delta in np.geomspace(1e-10, 1e4, 29):
+        x = 1.0 + float(delta)
+        for ell in range(11):
+            ref = _mp_q(ell, x)
+            worst = max(worst, float(abs((legendre_q(ell, x) - ref) / ref)))
+    assert worst <= 1e-12
 
 
 def test_legendre_q_near_singular_argument():
@@ -189,17 +177,41 @@ def test_kernel_symmetry():
 
 
 def test_kernel_yukawa_matches_neumann_form():
-    # int_-1^1 P_l(x)/(c - x) dx = 2 Q_l(c)
+    # the closed form against quadrature of the Legendre-weighted propagator
     rng = np.random.default_rng(101)
-    for _ in range(12):
-        k, p = rng.uniform(0.3, 4.0, size=2)
-        beta = float(rng.uniform(0.2, 3.0))
-        ell = int(rng.integers(0, 5))
-        spec = CoulombPotentialSpec(z=0.0, ell=ell, measure=((beta, 1.0),))
-        c = (k * k + p * p + beta * beta) / (2.0 * k * p)
-        expect = 2.0 / (math.pi * k * p) * legendre_q(ell, c)
-        assert kernel_R(spec, float(k), float(p)) == pytest.approx(
-            expect, rel=1e-9)
+    for ell in range(5):
+        for _ in range(3):
+            k, p = (float(v) for v in rng.uniform(0.3, 4.0, size=2))
+            beta = float(rng.uniform(0.2, 3.0))
+            spec = CoulombPotentialSpec(z=0.0, ell=ell, measure=((beta, 1.0),))
+            res = segment_integrate(
+                lambda x: scipy.special.eval_legendre(ell, x)
+                / (k * k + p * p + beta * beta - 2.0 * k * p * x),
+                -1.0, 1.0, tol=1e-11)
+            assert res.converged
+            assert kernel_R(spec, k, p) == pytest.approx(
+                (2.0 / math.pi) * res.value, rel=1e-9)
+
+
+def test_yukawa_terms_against_mpmath():
+    # (2 w / (pi k p)) Q_l(1 + ((k-p)^2 + beta^2) / (2kp)) and
+    # (-2i w / k^2) Q_l(1 + beta^2 / (2k^2)), Q and its argument from mpmath.
+    # The grid includes k = 0.05, beta = 5, where Q_l(1 + 5000) is far below
+    # any absolute floor a quadrature of the propagator would use.
+    momenta = [float(v) for v in np.geomspace(0.05, 8.0, 5)]
+    for beta in (0.5, 1.6, 5.0):
+        for ell in range(5):
+            spec = CoulombPotentialSpec(z=0.0, ell=ell, measure=((beta, 0.7),))
+            for k in momenta:
+                ref = -1.4 * _mp_q_shifted(ell, beta * beta, 2 * mpmath.mpf(k) ** 2) / (
+                    mpmath.mpf(k) ** 2)
+                assert float(abs(s1(spec, k).imag - ref) / abs(ref)) <= 1e-12
+                for p in momenta:
+                    mk, mp = mpmath.mpf(k), mpmath.mpf(p)
+                    q = _mp_q_shifted(ell, (mk - mp) ** 2 + mpmath.mpf(beta) ** 2,
+                                      2 * mk * mp)
+                    ref = 1.4 * q / (mpmath.pi * mk * mp)
+                    assert float(abs((kernel_R(spec, k, p) - ref) / ref)) <= 1e-12
 
 
 def test_kernel_pole_guard():
@@ -217,6 +229,11 @@ def test_kernel_momentum_validation():
         kernel_R(spec, -1.0, 2.0)
     with pytest.raises(ValueError):
         kernel_R(spec, 1.0, 0.0)
+    # squares that underflow or overflow are refused, not divided by
+    yukawa = CoulombPotentialSpec(z=0.0, measure=((1.0, 1.0),))
+    for k, p in ((1e-200, 1.0), (1.0, 1e-160), (1e200, 1.0), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="normal"):
+            kernel_R(yukawa, k, p)
 
 
 # ---------------------------------------------------------------- operator
@@ -335,6 +352,22 @@ def test_s1_yukawa_closed_form():
             assert got == pytest.approx(expect, rel=1e-10)
 
 
+def test_s1_yukawa_matches_neumann_form():
+    # the closed form against quadrature of the Legendre-weighted propagator
+    rng = np.random.default_rng(109)
+    for ell in range(5):
+        for _ in range(3):
+            k = float(rng.uniform(0.3, 4.0))
+            beta = float(rng.uniform(0.2, 3.0))
+            spec = CoulombPotentialSpec(z=0.0, ell=ell, measure=((beta, 1.0),))
+            res = segment_integrate(
+                lambda x: scipy.special.eval_legendre(ell, x) * k
+                / (2.0 * k * k * (1.0 - x) + beta * beta),
+                -1.0, 1.0, tol=1e-11)
+            assert res.converged
+            assert s1(spec, k) == pytest.approx((-2j / k) * res.value, rel=1e-9)
+
+
 def test_s1_purely_imaginary():
     rng = np.random.default_rng(107)
     for _ in range(8):
@@ -348,6 +381,11 @@ def test_s1_purely_imaginary():
 def test_s1_momentum_validation():
     with pytest.raises(ValueError):
         s1(CoulombPotentialSpec(z=1.0), 0.0)
+    # k^2 underflows (or overflows): refused instead of divided by
+    spec = CoulombPotentialSpec(z=1.0, measure=((1.0, 1.0),))
+    for k in (1e-200, 1e-160, 1e160, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="normal"):
+            s1(spec, k)
 
 
 # ---------------------------------------------------------------- divergence
@@ -399,3 +437,13 @@ def test_potential_spec_validation():
         CoulombPotentialSpec(z=1.0, measure=((1.0, float("nan")),))
     spec = CoulombPotentialSpec(z=1.0, measure=[(1, 2)])
     assert spec.measure == ((1.0, 2.0),)
+    with pytest.raises(ValueError):
+        CoulombPotentialSpec(z=1.0, ell=2.5)
+
+
+def test_potential_spec_normalizes_ell():
+    spec = CoulombPotentialSpec(z=1.0, ell=2.0, measure=((1.5, 0.4),))
+    assert spec.ell == 2 and type(spec.ell) is int
+    same = CoulombPotentialSpec(z=1.0, ell=2, measure=((1.5, 0.4),))
+    assert kernel_R(spec, 1.0, 2.0) == kernel_R(same, 1.0, 2.0)
+    assert s1(spec, 1.3) == s1(same, 1.3)
