@@ -218,13 +218,8 @@ class AsymptoticExpansion:
 
     @classmethod
     def from_json_dict(cls, data):
-        if data.get("kind") != "expansion":
-            raise ValueError(f"not an expansion record: kind={data.get('kind')!r}")
-        terms = {}
-        for t in data["terms"]:
-            b, c = _term_from_json(t)
-            terms[b] = c
-        return cls(data["regulator"], terms, dim=data.get("dim"))
+        regulator, terms = _record_from_json(data, "expansion", "an expansion")
+        return cls(regulator, terms, dim=data.get("dim"))
 
     def __repr__(self):
         body = ", ".join(f"{b}" for b, _ in self.sorted_terms()) or "0"
@@ -245,6 +240,19 @@ def _term_from_json(t):
     b = BasisFunction(Fraction(t["power"]), t["logpower"])
     c = np.asarray(t["re"], dtype=float) + 1j * np.asarray(t["im"], dtype=float)
     return b, _coerce_coefficient(c)
+
+
+def _record_from_json(data, kind, name):
+    """(regulator, {basis: coefficient}) of a JSON record of the given kind.
+    Raises ValueError, naming the record, if it is malformed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"not {name} record: {data!r}")
+    if data.get("kind") != kind:
+        raise ValueError(f"not {name} record: kind={data.get('kind')!r}")
+    try:
+        return data["regulator"], dict(_term_from_json(t) for t in data["terms"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {name} record: bad or missing {exc}") from exc
 
 
 def split_divergent(a):
@@ -414,14 +422,9 @@ class DeviationFactor:
 
     @classmethod
     def from_json_dict(cls, data):
-        if data.get("kind") != "deviation_factor":
-            raise ValueError(
-                f"not a deviation-factor record: kind={data.get('kind')!r}")
-        exponent = {}
-        for t in data["terms"]:
-            b, c = _term_from_json(t)
-            exponent[b] = c
-        return cls(data["regulator"], exponent,
+        regulator, exponent = _record_from_json(data, "deviation_factor",
+                                                "a deviation-factor")
+        return cls(regulator, exponent,
                    reference_scale=data.get("reference_scale", 1.0),
                    dim=data.get("dim"))
 

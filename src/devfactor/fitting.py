@@ -263,8 +263,12 @@ def read_samples_csv(path):
         rows.append([float(p) for p in parts])
     arr = np.array(rows) if rows else np.zeros((0, 4))
     flags = np.ones(arr.shape[0], dtype=bool)
-    for i in bad_rows:
-        flags[i] = False
+    if not (isinstance(bad_rows, list)
+            and all(type(i) is int and 0 <= i < flags.size for i in bad_rows)):
+        raise ValueError(
+            f"nonconverged_rows must list row indices in [0, {flags.size}), "
+            f"got {bad_rows!r}")
+    flags[bad_rows] = False
     samples = SampledIntegral(arr[:, 0], arr[:, 1] + 1j * arr[:, 2],
                               arr[:, 3], flags)
     return samples, generator

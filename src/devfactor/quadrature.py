@@ -2,21 +2,22 @@
 
 The 4-ball integral is reduced to a radial integral of angular averages over
 the 3-sphere.  Radial integration uses adaptive Gauss-Kronrod 7/15 panels with
-a worst-first refinement queue; the angular average uses an embedded pair of
-rules (a Gauss-Chebyshev rule for axially symmetric integrands, a product rule
-otherwise) whose coarse/fine difference feeds a separate angular error
-estimate.  When the angular error dominates, the angular order is escalated
-and the radial adaptation rerun.  Results are deterministic: refinement order
-is a pure function of the inputs and the final sum is compensated over panels
-sorted by position.
+a worst-first refinement queue; the final sum is compensated over panels
+sorted by position, so results are a pure function of the inputs.
 
-Built-in integrand descriptions (constant, squared shifted denominator, and
-its axial component) are evaluated by fused kernels with a compiled fast path;
-arbitrary callables take vectorized NumPy paths.
+The built-in integrand descriptions (constant, squared shifted denominator,
+and its axial component) have elementary 3-sphere averages, which
+``_kernels.reduce_axial`` evaluates in closed form: one evaluation per radius
+and no angular error.  Arbitrary callables are averaged by an embedded pair of
+rules, a Gauss-Chebyshev rule when the caller names a symmetry axis and a
+product rule otherwise, whose coarse/fine difference feeds a separate angular
+error estimate.  When the angular error dominates, the angular order is
+escalated and the radial adaptation rerun.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -92,10 +93,12 @@ class QuadratureResult:
     neval: int
 
 
+@functools.lru_cache(maxsize=16)
 def chebyshev_pair(n):
     """Embedded Gauss-Chebyshev (second kind) pair for int g(x) sqrt(1-x^2) dx
     on [-1, 1]: fine nodes of the (2n+1)-point rule with fine weights and the
     n-point coarse weights on the shared node set (zero off the coarse nodes).
+    Built once per order; the arrays are shared, so they are read-only.
     """
     if n < 1:
         raise ValueError(f"angular order must be >= 1, got {n}")
@@ -107,6 +110,8 @@ def chebyshev_pair(n):
     w_coarse = np.zeros(nf)
     k = np.arange(1, n + 1)
     w_coarse[1::2] = (np.pi / (n + 1)) * np.sin(k * np.pi / (n + 1)) ** 2
+    for a in (nodes, w_fine, w_coarse):
+        a.flags.writeable = False
     return nodes, w_fine, w_coarse
 
 
@@ -234,7 +239,7 @@ def _orthonormal_to(axis):
 
 @dataclass(frozen=True)
 class BallIntegrand:
-    """Built-in integrand description evaluated by the fused kernels.
+    """Built-in integrand description with closed-form 3-sphere averages.
 
     kind KIND_ONE is the constant 1; KIND_INV_SQUARE is
     1 / (k.k - 2 p.k + ell)^2; KIND_AXIAL_COMPONENT multiplies that by the
@@ -247,19 +252,21 @@ class BallIntegrand:
     ell: float
     label: str
 
-    @property
+    @functools.cached_property
     def p_mag(self):
         return float(np.linalg.norm(self.p_vec))
 
-    @property
+    @functools.cached_property
     def axis(self):
         p = np.asarray(self.p_vec, dtype=float)
         n = np.linalg.norm(p)
         if n == 0:
-            e1 = np.zeros(4)
-            e1[0] = 1.0
-            return e1
-        return p / n
+            axis = np.zeros(4)
+            axis[0] = 1.0
+        else:
+            axis = p / n
+        axis.flags.writeable = False
+        return axis
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -318,8 +325,9 @@ def _eval_points(f, pts):
 
 class _AxialReducer:
     """Angular averages over the 3-sphere for an axially symmetric integrand:
-    4 pi * int f(r, x) sqrt(1 - x^2) dx by the embedded Chebyshev pair.  A
-    callable integrand needs its symmetry axis; a built-in carries its own."""
+    4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in carries its own axis and
+    has the average in closed form; a callable needs its symmetry axis and is
+    averaged by the embedded Chebyshev pair."""
 
     def __init__(self, f, n, axis=None):
         self.f = f
@@ -332,28 +340,25 @@ class _AxialReducer:
     def set_order(self, n):
         self.n = n
         self.x, self.wf, self.wc = chebyshev_pair(n)
-        self.points = self.x.size  # angular evaluations per radius
+        # evaluations per radius: one closed form for a built-in
+        self.points = 1 if self.builtin else self.x.size
 
     def __call__(self, r):
         if self.builtin:
-            fine, coarse, bad = _kernels.reduce_axial(
-                self.f.kind, self.f.p_mag, self.f.ell,
-                np.ascontiguousarray(r), self.x, self.wf, self.wc)
+            avg, bad = _kernels.reduce_axial(
+                self.f.kind, self.f.p_mag, self.f.ell, r, self.x, self.wf, self.wc)
             if bad is not None:
-                r_bad, x_bad = bad
-                point = r_bad * (x_bad * self.f.axis
-                                 + math.sqrt(max(1.0 - x_bad ** 2, 0.0))
-                                 * _orthonormal_to(self.f.axis))
+                # the denominator is smallest on the axis of that sphere
                 raise NonFiniteIntegrandError(
-                    "integrand is not finite", tuple(float(c) for c in point))
-        else:
-            s = np.sqrt(1.0 - self.x ** 2)
-            dirs = self.x[:, None] * self.a_hat + s[:, None] * self.b_hat
-            pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
-            vals = _eval_points(self.f, pts).reshape(r.size, self.x.size)
-            fine = vals @ self.wf
-            coarse = vals @ self.wc
-        return FOUR_PI * fine, FOUR_PI * coarse
+                    "integrand is not finite",
+                    tuple(float(c) for c in bad * self.f.axis))
+            avg = FOUR_PI * avg
+            return avg, avg
+        s = np.sqrt(1.0 - self.x ** 2)
+        dirs = self.x[:, None] * self.a_hat + s[:, None] * self.b_hat
+        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
+        vals = _eval_points(self.f, pts).reshape(r.size, self.x.size)
+        return FOUR_PI * (vals @ self.wf), FOUR_PI * (vals @ self.wc)
 
     def escalate(self):
         self.set_order(2 * self.n + 1)
@@ -408,10 +413,10 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
                     max_evals=_DEFAULT_BALL_EVALS, max_angular_escalations=2):
     """Integral of f over the solid 4-ball of the given radius.
 
-    f is either a built-in BallIntegrand (fused kernel fast path) or a callable
-    on (N, 4) point arrays.  Pass axis for a callable that is symmetric about a
-    fixed direction to get the cheap axial reduction; otherwise a full product
-    rule on the 3-sphere is used.  The radial direction is adapted with
+    f is either a built-in BallIntegrand (closed-form angular averages) or a
+    callable on (N, 4) point arrays.  Pass axis for a callable that is
+    symmetric about a fixed direction to get the cheap axial reduction;
+    otherwise a full product rule on the 3-sphere is used.  The radial direction is adapted with
     Gauss-Kronrod panels; the angular order is escalated when the angular error
     estimate dominates the combined tolerance.
     """
@@ -466,11 +471,15 @@ def _adaptive_radial(reducer, radius, tol, abs_tol, max_evals):
         fine, coarse = reducer(r)
         if np.iscomplexobj(fine):
             complex_seen = True
-        g_fine = (r ** 3) * fine.astype(complex)
-        g_coarse = (r ** 3) * coarse.astype(complex)
+        r3 = r ** 3
+        g_fine = r3 * fine.astype(complex)
         k = h * np.dot(GK_WEIGHTS, g_fine)
-        ang = h * np.dot(GK_WEIGHTS, np.abs(g_fine - g_coarse))
-        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, g_fine)), float(ang))
+        if coarse is fine:  # exact angular averages: no angular error
+            ang = 0.0
+        else:
+            g_coarse = r3 * coarse.astype(complex)
+            ang = float(h * np.dot(GK_WEIGHTS, np.abs(g_fine - g_coarse)))
+        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, g_fine)), ang)
 
     per_panel = GK_NODES.size * reducer.points
     if per_panel > max_evals:

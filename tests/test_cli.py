@@ -91,7 +91,7 @@ def test_ladder_deterministic(tmp_path):
 def test_ladder_budget_exhaustion_exit_4(tmp_path, capsys):
     rc = main(["ladder", "--integrand", "shifted", "--p", "0.5,0,0,0",
                "--lmin", "10", "--lmax", "100", "--points", "2",
-               "--max-evals", "400", "--out", str(tmp_path)])
+               "--max-evals", "20", "--out", str(tmp_path)])
     assert rc == 4
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["kind"] == "error"
@@ -210,6 +210,19 @@ def test_regularize_rejects_malformed_series(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "missing" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("record", [1, {"kind": "expansion",
+                                         "regulator": "ultraviolet"}])
+def test_regularize_rejects_malformed_coefficient_record(tmp_path, capsys,
+                                                          record):
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps({"coupling": 0.1, "coefficients": [record]}))
+    rc = main(["regularize", "--infile", str(infile), "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "expansion record" in err["error"]["message"]
+    assert not (tmp_path / "regularize.json").exists()
 
 
 # ------------------------------------------------------------- example

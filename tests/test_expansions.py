@@ -301,6 +301,22 @@ def test_factor_json_round_trip():
         assert g.evaluate(lam) == pytest.approx(f.evaluate(lam), rel=1e-15)
 
 
+@pytest.mark.parametrize("cls, kind", [(AsymptoticExpansion, "expansion"),
+                                       (DeviationFactor, "deviation_factor")])
+@pytest.mark.parametrize("record", [
+    [1], "x",
+    {"regulator": ULTRAVIOLET},
+    {"terms": []},
+    {"regulator": ULTRAVIOLET, "terms": [1]},
+    {"regulator": ULTRAVIOLET, "terms": [{"power": "0", "logpower": 1}]},
+])
+def test_json_records_reject_malformed(cls, kind, record):
+    if isinstance(record, dict):
+        record = {"kind": kind, **record}
+    with pytest.raises(ValueError, match="record"):
+        cls.from_json_dict(record)
+
+
 # ---------------------------------------------------------------- class A
 
 

@@ -205,6 +205,16 @@ def test_csv_keeps_nonconverged_flags(tmp_path):
     assert list(back.converged) == [True, False, True, False]
 
 
+@pytest.mark.parametrize("rows", ["[7]", "[-1]", "3", "[0.0]", "[true]",
+                                  '["0"]', "{}"])
+def test_csv_rejects_bad_nonconverged_rows(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# nonconverged_rows: {rows}\n{CSV_HEADER}\n"
+                    "10.0,1.0,0.0,1e-08\n")
+    with pytest.raises(ValueError, match="nonconverged_rows"):
+        read_samples_csv(path)
+
+
 def test_csv_rejects_malformed_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1,2\n")
