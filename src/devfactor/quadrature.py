@@ -5,14 +5,16 @@ the 3-sphere.  Radial integration uses adaptive Gauss-Kronrod 7/15 panels with
 a worst-first refinement queue; the final sum is compensated over panels
 sorted by position, so results are a pure function of the inputs.
 
-The built-in integrand descriptions (constant, squared shifted denominator,
-and its axial component) have elementary 3-sphere averages, which
-``_kernels.reduce_axial`` evaluates in closed form: one evaluation per radius
-and no angular error.  Arbitrary callables are averaged by an embedded pair of
-rules, a Gauss-Chebyshev rule when the caller names a symmetry axis and a
-product rule otherwise, whose coarse/fine difference feeds a separate angular
-error estimate.  When the angular error dominates, the angular order is
-escalated and the radial adaptation rerun.
+Every ball integrand is axially symmetric: it depends on k only through k.k
+and the component of k along one axis, as every Feynman-parametrized
+integrand does (through k.k and p.k).  The built-in integrand descriptions
+(constant, squared shifted denominator, and its axial component) have
+elementary 3-sphere averages, which ``_kernels.reduce_axial`` evaluates in
+closed form: one evaluation per radius and no angular error.  A callable must
+name its symmetry axis; it is averaged over the axial cosine by an embedded
+pair of Gauss-Chebyshev rules, whose coarse/fine difference feeds a separate
+angular error estimate.  When the angular error dominates, the angular order
+is escalated and the radial adaptation rerun.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _DEFAULT_SEGMENT_EVALS = 200_000
 _DEFAULT_BALL_EVALS = 1_000_000
 
 _AXIAL_ORDER = 48
-_GENERIC_ORDER = 12
+_MAX_ANGULAR_ESCALATIONS = 2
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -140,10 +142,9 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
     """
     a = float(a)
     b = float(b)
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (-math.inf < a < b < math.inf):
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    _check_tolerances(tol, abs_tol)
     if endpoint_singular and max_evals == _DEFAULT_SEGMENT_EVALS:
         max_evals = 5 * _DEFAULT_SEGMENT_EVALS
 
@@ -164,6 +165,14 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
         panel, a, b, tol, abs_tol, max_evals, GK_NODES.size, False)
     return QuadratureResult(value if complex_seen else value.real, err,
                             converged, neval)
+
+
+def _check_tolerances(tol, abs_tol):
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if not (0 <= abs_tol < math.inf):
+        raise ValueError(
+            f"absolute tolerance must be finite and nonnegative, got {abs_tol}")
 
 
 def _refine(panel, a, b, tol, abs_tol, max_evals, per_panel, angular):
@@ -223,9 +232,11 @@ def _refine(panel, a, b, tol, abs_tol, max_evals, per_panel, angular):
 
 def _unit(v):
     v = np.asarray(v, dtype=float)
+    if v.shape != (4,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"axis must be a finite 4-vector, got {v.tolist()}")
     n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("axis must be a nonzero vector")
+    if not (0 < n < math.inf):
+        raise ValueError(f"axis must have a finite nonzero norm, got {n}")
     return v / n
 
 
@@ -332,16 +343,21 @@ class _AxialReducer:
     def __init__(self, f, n, axis=None):
         self.f = f
         self.builtin = isinstance(f, BallIntegrand)
-        self.set_order(n)
         if not self.builtin:
             self.a_hat = _unit(axis)
             self.b_hat = _orthonormal_to(self.a_hat)
+        self.set_order(n)
 
     def set_order(self, n):
         self.n = n
         self.x, self.wf, self.wc = chebyshev_pair(n)
-        # evaluations per radius: one closed form for a built-in
-        self.points = 1 if self.builtin else self.x.size
+        if self.builtin:
+            self.points = 1  # one closed form per radius
+            return
+        # unit directions at the fine nodes, shared by every panel
+        s = np.sqrt(1.0 - self.x ** 2)
+        self.dirs = self.x[:, None] * self.a_hat + s[:, None] * self.b_hat
+        self.points = self.x.size
 
     def __call__(self, r):
         if self.builtin:
@@ -354,94 +370,45 @@ class _AxialReducer:
                     tuple(float(c) for c in bad * self.f.axis))
             avg = FOUR_PI * avg
             return avg, avg
-        s = np.sqrt(1.0 - self.x ** 2)
-        dirs = self.x[:, None] * self.a_hat + s[:, None] * self.b_hat
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
-        vals = _eval_points(self.f, pts).reshape(r.size, self.x.size)
+        pts = (r[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4)
+        vals = _eval_points(self.f, pts).reshape(r.size, self.points)
         return FOUR_PI * (vals @ self.wf), FOUR_PI * (vals @ self.wc)
 
     def escalate(self):
         self.set_order(2 * self.n + 1)
 
 
-class _ProductReducer:
-    """Angular averages over the 3-sphere by a product rule: embedded Chebyshev
-    pair in the first direction cosine, Gauss-Legendre in the second, uniform
-    in azimuth.  Exact total weight 2 pi^2."""
-
-    def __init__(self, f, n, polar_order, azimuthal_order):
-        if polar_order < 2 or azimuthal_order < 2:
-            raise ValueError("polar and azimuthal orders must be >= 2")
-        self.f = f
-        self.polar_order = polar_order
-        self.azimuthal_order = azimuthal_order
-        self.set_order(n)
-
-    def set_order(self, n):
-        self.n = n
-        x, wf, wc = chebyshev_pair(n)
-        y, wy = np.polynomial.legendre.leggauss(self.polar_order)
-        phi = 2.0 * np.pi * np.arange(self.azimuthal_order) / self.azimuthal_order
-        wphi = 2.0 * np.pi / self.azimuthal_order
-        sx = np.sqrt(1.0 - x ** 2)
-        sy = np.sqrt(1.0 - y ** 2)
-        nf, npo, naz = x.size, y.size, phi.size
-        omega = np.empty((nf, npo, naz, 4))
-        omega[..., 0] = x[:, None, None]
-        omega[..., 1] = sx[:, None, None] * y[None, :, None]
-        omega[..., 2] = sx[:, None, None] * sy[None, :, None] * np.cos(phi)
-        omega[..., 3] = sx[:, None, None] * sy[None, :, None] * np.sin(phi)
-        self.dirs = omega.reshape(-1, 4)
-        self.points = self.dirs.shape[0]  # angular evaluations per radius
-        wp = np.full(naz, wphi)
-        self.w_fine = (wf[:, None, None] * wy[None, :, None]
-                       * wp[None, None, :]).reshape(-1)
-        self.w_coarse = (wc[:, None, None] * wy[None, :, None]
-                         * wp[None, None, :]).reshape(-1)
-
-    def __call__(self, r):
-        pts = (r[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4)
-        vals = _eval_points(self.f, pts).reshape(r.size, self.points)
-        return vals @ self.w_fine, vals @ self.w_coarse
-
-    def escalate(self):
-        self.set_order(2 * self.n + 1)
-
-
 def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
-                    angular_order=None, polar_order=12, azimuthal_order=24,
-                    max_evals=_DEFAULT_BALL_EVALS, max_angular_escalations=2):
+                    max_evals=_DEFAULT_BALL_EVALS):
     """Integral of f over the solid 4-ball of the given radius.
 
     f is either a built-in BallIntegrand (closed-form angular averages) or a
-    callable on (N, 4) point arrays.  Pass axis for a callable that is
-    symmetric about a fixed direction to get the cheap axial reduction;
-    otherwise a full product rule on the 3-sphere is used.  The radial direction is adapted with
-    Gauss-Kronrod panels; the angular order is escalated when the angular error
-    estimate dominates the combined tolerance.
+    callable on (N, 4) point arrays that depends on k only through k.k and
+    k.axis; the callable needs that axis.  The radial direction is adapted
+    with Gauss-Kronrod panels; the angular order of a callable is escalated
+    when the angular error estimate dominates the combined tolerance.
     """
     radius = float(radius)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (0 < radius < math.inf):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if abs_tol is None:
         abs_tol = 1e-14 * max(1.0, radius) ** 4
+    _check_tolerances(tol, abs_tol)
 
     if isinstance(f, BallIntegrand):
-        reducer = _AxialReducer(f, _AXIAL_ORDER if angular_order is None else angular_order)
-    elif axis is not None:
+        reducer = _AxialReducer(f, _AXIAL_ORDER)
+    elif axis is None:
+        raise ValueError(
+            "a callable integrand needs its symmetry axis: pass axis=p for "
+            "a function of k.k and p.k")
+    else:
         # the reducer normalizes the unit axis once more; results depend on
         # that rounding, so keep both steps
-        reducer = _AxialReducer(f, _AXIAL_ORDER if angular_order is None else angular_order,
-                                _unit(axis))
-    else:
-        reducer = _ProductReducer(f, _GENERIC_ORDER if angular_order is None else angular_order,
-                                  polar_order, azimuthal_order)
+        reducer = _AxialReducer(f, _AXIAL_ORDER, _unit(axis))
 
     neval_total = 0
     best = None
-    for attempt in range(max_angular_escalations + 1):
+    for attempt in range(_MAX_ANGULAR_ESCALATIONS + 1):
         res = _adaptive_radial(reducer, radius, tol, abs_tol,
                                max_evals - neval_total)
         neval_total += res[4]
@@ -452,7 +419,7 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
         need = max(abs_tol, tol * abs(value))
         if ang_err <= rad_err or rad_err + ang_err <= need:
             break
-        if attempt < max_angular_escalations:
+        if attempt < _MAX_ANGULAR_ESCALATIONS:
             reducer.escalate()
     best.converged = best.error <= max(abs_tol, tol * abs(best.value))
     return best

@@ -109,6 +109,17 @@ def test_ladder_domain_error_exit_3(tmp_path, capsys):
     assert err["error"]["type"] == "domain"
 
 
+@pytest.mark.parametrize("bad", [["--tol", "nan"], ["--tol", "inf"],
+                                 ["--lmax", "inf"]],
+                         ids=["tol-nan", "tol-inf", "lmax-inf"])
+def test_ladder_nonfinite_input_exit_3(tmp_path, capsys, bad):
+    rc = main(["ladder", "--integrand", "volume", "--lmin", "0.5",
+               "--lmax", "1", *bad, "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "domain"
+
+
 # ------------------------------------------------------------- fit
 
 
