@@ -241,9 +241,9 @@ def _build_integrand(kind, p, ell):
 def cmd_ladder(args):
     if args.points < 1:
         raise ValueError(f"need at least one rung, got {args.points}")
-    if not (0 < args.lmin < args.lmax):
-        raise ValueError(
-            f"need 0 < lmin < lmax, got lmin={args.lmin}, lmax={args.lmax}")
+    if not (0 < args.lmin < args.lmax < math.inf):
+        raise ValueError(f"need 0 < lmin < lmax < inf, "
+                         f"got lmin={args.lmin}, lmax={args.lmax}")
     integrand = _build_integrand(args.integrand, args.p, args.ell)
     radii = np.geomspace(args.lmin, args.lmax, args.points)
     samples = cutoff_ladder(integrand, radii, tol=args.tol,
@@ -352,9 +352,9 @@ def cmd_example(args):
 def cmd_coulomb(args):
     spec = coulomb_mod.CoulombPotentialSpec(z=args.z, e=args.e, ell=args.ell,
                                             measure=tuple(args.measure))
-    if not (0 < args.kmin < args.kmax):
-        raise ValueError(
-            f"need 0 < kmin < kmax, got kmin={args.kmin}, kmax={args.kmax}")
+    if not (0 < args.kmin < args.kmax < math.inf):
+        raise ValueError(f"need 0 < kmin < kmax < inf, "
+                         f"got kmin={args.kmin}, kmax={args.kmax}")
     if args.points < 2:
         raise ValueError(f"need at least two grid points, got {args.points}")
     ks = np.geomspace(args.kmin, args.kmax, args.points)

@@ -286,7 +286,7 @@ def coulomb_divergence_check(z, k, t_values, tau_values):
     samples = SampledIntegral(products, 1j * phases,
                               np.zeros(products.size),
                               np.ones(products.size, dtype=bool))
-    result = fit(samples, basis=(LOG, CONSTANT), weight_errors=False)
+    result = fit(samples, basis=(LOG, CONSTANT))
     top = max(abs(c) for c in result.coefficients.values())
     terms = {}
     for b, c in result.coefficients.items():

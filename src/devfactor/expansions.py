@@ -181,22 +181,6 @@ class AsymptoticExpansion:
             {b: c for b, c in self.terms.items() if b.power < 0},
             dim=self.dim)
 
-    def scaled(self, factor):
-        return AsymptoticExpansion(
-            self.regulator,
-            {b: c * factor for b, c in self.terms.items()},
-            dim=self.dim)
-
-    def plus(self, other):
-        if other.regulator != self.regulator:
-            raise ValueError("cannot add expansions in different regulator kinds")
-        if other.dim != self.dim:
-            raise ValueError("cannot add expansions of different dimension")
-        terms = {b: c.copy() for b, c in self.terms.items()}
-        for b, c in other.terms.items():
-            terms[b] = terms[b] + c if b in terms else c
-        return AsymptoticExpansion(self.regulator, terms, dim=self.dim)
-
     def allclose(self, other, tol=1e-12):
         if self.regulator != other.regulator or self.dim != other.dim:
             return False
@@ -440,15 +424,14 @@ def _absorbed_exponent(divergent, weight, refusal, tol=ADMISSIBILITY_TOL):
     return {b: weight * (c - c.conj().T) / 2j for b, c in divergent.terms.items()}
 
 
-def deviation_factor(divergent, coupling=1.0, coupling_power=0,
-                     reference_scale=1.0, tol=ADMISSIBILITY_TOL):
+def deviation_factor(divergent, reference_scale=1.0, tol=ADMISSIBILITY_TOL):
     """Build the deviation factor absorbing a divergent expansion.
 
     Each coefficient C_b is projected to its anti-Hermitian part and written as
-    i H_b, weighted by coupling**coupling_power.  Raises AdmissibilityError if
-    the structure check fails.
+    i H_b (series_factor weights the orders of a coupling series).  Raises
+    AdmissibilityError if the structure check fails.
     """
-    exponent = _absorbed_exponent(divergent, coupling ** coupling_power,
+    exponent = _absorbed_exponent(divergent, 1.0,
                                   "divergent coefficients are not absorbable", tol)
     return DeviationFactor(divergent.regulator, exponent,
                            reference_scale=reference_scale, dim=divergent.dim)

@@ -85,13 +85,13 @@ def _design_matrix(lambdas, basis):
     return np.column_stack(cols)
 
 
-def fit(samples, basis=DEFAULT_BASIS, weight_errors=True):
+def fit(samples, basis=DEFAULT_BASIS):
     """Least-squares fit of ladder samples against cutoff basis functions.
 
     Requires at least two more samples than basis functions and a grid
-    spanning two decades.  Samples with error estimates are weighted by their
-    inverse when weight_errors is set.  Raises CollinearBasisError when the
-    normalized design is ill-conditioned, naming the most collinear basis
+    spanning two decades.  Samples are weighted by their inverse error
+    estimates, unless every estimate is zero.  Raises CollinearBasisError when
+    the normalized design is ill-conditioned, naming the most collinear basis
     pairs.
     """
     basis = tuple(basis)
@@ -117,7 +117,7 @@ def fit(samples, basis=DEFAULT_BASIS, weight_errors=True):
 
     design = _design_matrix(lams, basis)
     weights = np.ones(n)
-    if weight_errors and np.any(samples.errors > 0):
+    if np.any(samples.errors > 0):
         floor = max(np.max(samples.errors) * 1e-6, 1e-300)
         weights = 1.0 / np.maximum(samples.errors, floor)
         weights /= np.max(weights)

@@ -178,8 +178,7 @@ def _feynman_log_moment_quadrature(p_sq, m, tol=1e-12):
     def integrand(u):
         return np.log((p_sq + msq) * u - p_sq * u * u)
 
-    res = segment_integrate(integrand, 0.0, 1.0, tol=tol, abs_tol=1e-14,
-                            endpoint_singular=True)
+    res = segment_integrate(integrand, 0.0, 1.0, tol=tol, abs_tol=1e-14)
     return float(np.real(res.value))
 
 

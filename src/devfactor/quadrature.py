@@ -1,9 +1,11 @@
 """Adaptive quadrature over 4-ball cutoff domains and 1-D segments.
 
-The 4-ball integral is reduced to a radial integral of angular averages over
-the 3-sphere.  Radial integration uses adaptive Gauss-Kronrod 7/15 panels with
-a worst-first refinement queue; the final sum is compensated over panels
-sorted by position, so results are a pure function of the inputs.
+Both integrals run through one adaptive Gauss-Kronrod 7/15 loop, ``_refine``,
+with a worst-first refinement queue; the final sum is compensated over panels
+sorted by position, so results are a pure function of the inputs.  A caller
+hands it a panel sampler: the integrand at the nodes of a segment, or r^3
+times the 3-sphere averages at the radii of a 4-ball, to which the 4-ball
+integral is reduced.
 
 Every ball integrand is axially symmetric: it depends on k only through k.k
 and the component of k along one axis, as every Feynman-parametrized
@@ -132,12 +134,13 @@ def _eval_1d(f, xs):
 
 
 def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
-                      max_evals=_DEFAULT_SEGMENT_EVALS, endpoint_singular=False):
+                      max_evals=_DEFAULT_SEGMENT_EVALS):
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     Stops when the summed error estimate falls below max(abs_tol, tol * |I|).
-    endpoint_singular raises the default evaluation budget for integrable
-    endpoint singularities; the integrand must still be finite at every node.
+    Integrable endpoint singularities need no option (ln u takes 825
+    evaluations, u^-1/2 1725), but f must be finite at every node.  A budget
+    below one 15-node panel gives 0.0, unconverged, after no evaluation.
     Deterministic: identical inputs give bitwise identical results.
     """
     a = float(a)
@@ -145,26 +148,9 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
     if not (-math.inf < a < b < math.inf):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
     _check_tolerances(tol, abs_tol)
-    if endpoint_singular and max_evals == _DEFAULT_SEGMENT_EVALS:
-        max_evals = 5 * _DEFAULT_SEGMENT_EVALS
-
-    complex_seen = False
-
-    def panel(lo, hi):
-        nonlocal complex_seen
-        h = 0.5 * (hi - lo)
-        c = 0.5 * (lo + hi)
-        ys = _eval_1d(f, c + h * GK_NODES)
-        if np.iscomplexobj(ys):
-            complex_seen = True
-        ys = ys.astype(complex)
-        k = h * np.dot(GK_WEIGHTS, ys)
-        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, ys)))
-
     value, err, _, converged, neval = _refine(
-        panel, a, b, tol, abs_tol, max_evals, GK_NODES.size, False)
-    return QuadratureResult(value if complex_seen else value.real, err,
-                            converged, neval)
+        lambda x: (_eval_1d(f, x), None), 1, a, b, tol, abs_tol, max_evals)
+    return QuadratureResult(value, err, converged, neval)
 
 
 def _check_tolerances(tol, abs_tol):
@@ -175,19 +161,38 @@ def _check_tolerances(tol, abs_tol):
             f"absolute tolerance must be finite and nonnegative, got {abs_tol}")
 
 
-def _refine(panel, a, b, tol, abs_tol, max_evals, per_panel, angular):
+def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     """Worst-first adaptive Gauss-Kronrod refinement of [a, b] (QUADPACK QAG).
 
-    panel(lo, hi) samples one panel with per_panel evaluations and returns
-    (lo, hi, Kronrod value, |Kronrod - Gauss|), plus the angular error when
-    angular is set.  The panel with the largest error is bisected until the
-    summed errors meet max(abs_tol, tol * |value|), the angular error
-    dominates (unconverged; the caller may raise the angular order), or the
-    next bisection would exceed max_evals.  Panels too narrow to bisect in
-    floating point are frozen as they are.  Returns (complex value, error,
-    angular error, converged, nevals), summed with compensation over the
-    panels sorted by position.
+    sample(x) maps a panel's 15 Kronrod nodes to (values, coarse) at a cost of
+    `points` evaluations per node; coarse is None for exact values, else a
+    cruder estimate whose weighted distance from them is the angular error.
+    The panel with the largest |Kronrod - Gauss| is bisected until the summed
+    errors meet max(abs_tol, tol * |value|), the angular error dominates
+    (unconverged; the caller may sample more finely), or the next bisection
+    would exceed max_evals.  Panels too narrow to bisect in floating point are
+    frozen.  Returns (value, error, angular error, converged, nevals), summed
+    with compensation over the panels sorted by position; value is complex
+    only if some sample was.  A budget below one panel returns
+    (0.0, inf, inf, False, 0).
     """
+    per_panel = GK_NODES.size * points
+    if per_panel > max_evals:
+        return 0.0, math.inf, math.inf, False, 0
+    complex_seen = False
+
+    def panel(lo, hi):
+        nonlocal complex_seen
+        h = 0.5 * (hi - lo)
+        fine, coarse = sample(0.5 * (lo + hi) + h * GK_NODES)
+        if np.iscomplexobj(fine):
+            complex_seen = True
+        fine = fine.astype(complex)
+        k = h * np.dot(GK_WEIGHTS, fine)
+        ang = 0.0 if coarse is None else float(
+            h * np.dot(GK_WEIGHTS, np.abs(fine - coarse)))
+        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, fine)), ang)
+
     neval = per_panel
     counter = 0
     first = panel(a, b)
@@ -197,21 +202,15 @@ def _refine(panel, a, b, tol, abs_tol, max_evals, per_panel, angular):
     while True:
         total = sum(p[2] for _, _, p in heap) + sum(p[2] for p in frozen)
         err = sum(p[3] for _, _, p in heap) + sum(p[3] for p in frozen)
+        ang = sum(p[4] for _, _, p in heap) + sum(p[4] for p in frozen)
         need = max(abs_tol, tol * abs(total))
-        if angular:
-            ang = sum(p[4] for _, _, p in heap) + sum(p[4] for p in frozen)
-            if err + ang <= need:
-                break
-            if err <= 0.25 * need and ang > 0.75 * need:
-                converged = False
-                break
-        elif err <= need:
+        if err + ang <= need:
             break
-        if not heap or neval + 2 * per_panel > max_evals:
+        if ((err <= 0.25 * need and ang > 0.75 * need) or not heap
+                or neval + 2 * per_panel > max_evals):
             converged = False
             break
-        worst = heapq.heappop(heap)[2]
-        lo, hi = worst[0], worst[1]
+        lo, hi = heapq.heappop(heap)[2][:2]
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             frozen.append(panel(lo, hi))
@@ -226,15 +225,16 @@ def _refine(panel, a, b, tol, abs_tol, max_evals, per_panel, angular):
     value = complex(math.fsum(p[2].real for p in panels),
                     math.fsum(p[2].imag for p in panels))
     err = math.fsum(p[3] for p in panels)
-    ang = math.fsum(p[4] for p in panels) if angular else 0.0
-    return value, err, ang, converged, neval
+    ang = math.fsum(p[4] for p in panels)
+    return (value if complex_seen else value.real), err, ang, converged, neval
 
 
 def _unit(v):
     v = np.asarray(v, dtype=float)
     if v.shape != (4,) or not np.all(np.isfinite(v)):
         raise ValueError(f"axis must be a finite 4-vector, got {v.tolist()}")
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
     if not (0 < n < math.inf):
         raise ValueError(f"axis must have a finite nonzero norm, got {n}")
     return v / n
@@ -334,50 +334,6 @@ def _eval_points(f, pts):
     return vals
 
 
-class _AxialReducer:
-    """Angular averages over the 3-sphere for an axially symmetric integrand:
-    4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in carries its own axis and
-    has the average in closed form; a callable needs its symmetry axis and is
-    averaged by the embedded Chebyshev pair."""
-
-    def __init__(self, f, n, axis=None):
-        self.f = f
-        self.builtin = isinstance(f, BallIntegrand)
-        if not self.builtin:
-            self.a_hat = _unit(axis)
-            self.b_hat = _orthonormal_to(self.a_hat)
-        self.set_order(n)
-
-    def set_order(self, n):
-        self.n = n
-        self.x, self.wf, self.wc = chebyshev_pair(n)
-        if self.builtin:
-            self.points = 1  # one closed form per radius
-            return
-        # unit directions at the fine nodes, shared by every panel
-        s = np.sqrt(1.0 - self.x ** 2)
-        self.dirs = self.x[:, None] * self.a_hat + s[:, None] * self.b_hat
-        self.points = self.x.size
-
-    def __call__(self, r):
-        if self.builtin:
-            avg, bad = _kernels.reduce_axial(
-                self.f.kind, self.f.p_mag, self.f.ell, r, self.x, self.wf, self.wc)
-            if bad is not None:
-                # the denominator is smallest on the axis of that sphere
-                raise NonFiniteIntegrandError(
-                    "integrand is not finite",
-                    tuple(float(c) for c in bad * self.f.axis))
-            avg = FOUR_PI * avg
-            return avg, avg
-        pts = (r[:, None, None] * self.dirs[None, :, :]).reshape(-1, 4)
-        vals = _eval_points(self.f, pts).reshape(r.size, self.points)
-        return FOUR_PI * (vals @ self.wf), FOUR_PI * (vals @ self.wc)
-
-    def escalate(self):
-        self.set_order(2 * self.n + 1)
-
-
 def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
                     max_evals=_DEFAULT_BALL_EVALS):
     """Integral of f over the solid 4-ball of the given radius.
@@ -386,74 +342,82 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
     callable on (N, 4) point arrays that depends on k only through k.k and
     k.axis; the callable needs that axis.  The radial direction is adapted
     with Gauss-Kronrod panels; the angular order of a callable is escalated
-    when the angular error estimate dominates the combined tolerance.
+    when the angular error estimate dominates the combined tolerance.  An
+    escalation whose first panel does not fit the remaining budget keeps the
+    previous attempt.  The radius must leave the ball's volume scale
+    pi^2 radius^4 finite.
     """
     radius = float(radius)
     if not (0 < radius < math.inf):
         raise ValueError(f"radius must be finite and positive, got {radius}")
+    scale = math.pi * radius * radius
+    if not scale * scale < math.inf:
+        raise ValueError(
+            f"radius {radius} overflows the ball's volume scale pi^2 radius^4")
     if abs_tol is None:
         abs_tol = 1e-14 * max(1.0, radius) ** 4
     _check_tolerances(tol, abs_tol)
 
-    if isinstance(f, BallIntegrand):
-        reducer = _AxialReducer(f, _AXIAL_ORDER)
-    elif axis is None:
-        raise ValueError(
-            "a callable integrand needs its symmetry axis: pass axis=p for "
-            "a function of k.k and p.k")
-    else:
-        # the reducer normalizes the unit axis once more; results depend on
-        # that rounding, so keep both steps
-        reducer = _AxialReducer(f, _AXIAL_ORDER, _unit(axis))
+    if not isinstance(f, BallIntegrand):
+        if axis is None:
+            raise ValueError(
+                "a callable integrand needs its symmetry axis: pass axis=p "
+                "for a function of k.k and p.k")
+        # _adaptive_radial normalizes the unit axis once more; results depend
+        # on that rounding, so keep both steps
+        axis = _unit(axis)
 
+    n = _AXIAL_ORDER
     neval_total = 0
     best = None
-    for attempt in range(_MAX_ANGULAR_ESCALATIONS + 1):
-        res = _adaptive_radial(reducer, radius, tol, abs_tol,
-                               max_evals - neval_total)
-        neval_total += res[4]
-        value, rad_err, ang_err, ok = res[0], res[1], res[2], res[3]
+    for _ in range(_MAX_ANGULAR_ESCALATIONS + 1):
+        value, rad_err, ang_err, ok, neval = _adaptive_radial(
+            f, axis, n, radius, tol, abs_tol, max_evals - neval_total)
+        if best is not None and neval == 0:
+            break  # no panel of this order fits: keep the previous attempt
+        neval_total += neval
         best = QuadratureResult(value, rad_err + ang_err, ok, neval_total)
         if ok:
             return best
         need = max(abs_tol, tol * abs(value))
         if ang_err <= rad_err or rad_err + ang_err <= need:
             break
-        if attempt < _MAX_ANGULAR_ESCALATIONS:
-            reducer.escalate()
+        n = 2 * n + 1
     best.converged = best.error <= max(abs_tol, tol * abs(best.value))
     return best
 
 
-def _adaptive_radial(reducer, radius, tol, abs_tol, max_evals):
-    """Worst-first radial refinement; returns (value, radial error, angular
-    error, converged, nevals)."""
-    complex_seen = False
+def _adaptive_radial(f, axis, n, radius, tol, abs_tol, max_evals):
+    """Worst-first radial refinement of r^3 times the 3-sphere average
+    4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the average in closed
+    form; a callable is averaged along its axis by the embedded Chebyshev
+    pair of order n.  Returns (value, radial error, angular error, converged,
+    nevals)."""
+    x, w_fine, w_coarse = chebyshev_pair(n)
+    if isinstance(f, BallIntegrand):
+        def sample(r):
+            avg, bad = _kernels.reduce_axial(f.kind, f.p_mag, f.ell, r, x)
+            if bad is not None:
+                # the denominator is smallest on the axis of that sphere
+                raise NonFiniteIntegrandError(
+                    "integrand is not finite",
+                    tuple(float(c) for c in bad * f.axis))
+            return r ** 3 * (FOUR_PI * avg), None
 
-    def panel(lo, hi):
-        nonlocal complex_seen
-        h = 0.5 * (hi - lo)
-        c = 0.5 * (lo + hi)
-        r = c + h * GK_NODES
-        fine, coarse = reducer(r)
-        if np.iscomplexobj(fine):
-            complex_seen = True
+        return _refine(sample, 1, 0.0, radius, tol, abs_tol, max_evals)
+
+    a_hat = _unit(axis)
+    # unit directions at the fine nodes, shared by every panel
+    s = np.sqrt(1.0 - x ** 2)
+    dirs = x[:, None] * a_hat + s[:, None] * _orthonormal_to(a_hat)
+
+    def sample(r):
+        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
+        vals = _eval_points(f, pts).reshape(r.size, x.size)
         r3 = r ** 3
-        g_fine = r3 * fine.astype(complex)
-        k = h * np.dot(GK_WEIGHTS, g_fine)
-        if coarse is fine:  # exact angular averages: no angular error
-            ang = 0.0
-        else:
-            g_coarse = r3 * coarse.astype(complex)
-            ang = float(h * np.dot(GK_WEIGHTS, np.abs(g_fine - g_coarse)))
-        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, g_fine)), ang)
+        return r3 * (FOUR_PI * (vals @ w_fine)), r3 * (FOUR_PI * (vals @ w_coarse))
 
-    per_panel = GK_NODES.size * reducer.points
-    if per_panel > max_evals:
-        return 0.0 + 0j, math.inf, math.inf, False, 0
-    value, rad, ang, converged, neval = _refine(
-        panel, 0.0, radius, tol, abs_tol, max_evals, per_panel, True)
-    return value if complex_seen else value.real, rad, ang, converged, neval
+    return _refine(sample, x.size, 0.0, radius, tol, abs_tol, max_evals)
 
 
 @dataclass
@@ -469,11 +433,7 @@ class SampledIntegral:
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        if self.errors is None:
-            self.errors = np.zeros(self.lambdas.size)
         self.errors = np.asarray(self.errors, dtype=float)
-        if self.converged is None:
-            self.converged = np.ones(self.lambdas.size, dtype=bool)
         self.converged = np.asarray(self.converged, dtype=bool)
         n = self.lambdas.size
         if not (self.values.size == self.errors.size == self.converged.size == n):

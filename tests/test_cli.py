@@ -120,6 +120,16 @@ def test_ladder_nonfinite_input_exit_3(tmp_path, capsys, bad):
     assert err["error"]["type"] == "domain"
 
 
+def test_ladder_overflowing_cutoff_exit_3(tmp_path, capsys):
+    # the top rung's pi^2 L^4 overflows a double: a domain error, not a crash
+    rc = main(["ladder", "--lmin", "10", "--lmax", "1e80", "--points", "3",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "domain"
+    assert "overflows" in err["error"]["message"]
+
+
 # ------------------------------------------------------------- fit
 
 
@@ -314,6 +324,14 @@ def test_coulomb_bad_grid_exit_3(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "kmin" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("kmax", ["inf", "nan"])
+def test_coulomb_nonfinite_kmax_exit_3(tmp_path, capsys, kmax):
+    rc = main(["coulomb", "--kmax", kmax, "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "kmax" in err["error"]["message"]
 
 
 def test_coulomb_underflowing_momentum_exit_3(tmp_path, capsys):

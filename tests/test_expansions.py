@@ -269,14 +269,6 @@ def test_deviation_factor_from_divergent_part():
                                             rel=1e-14)
 
 
-def test_deviation_factor_coupling_power():
-    div = AsymptoticExpansion(ULTRAVIOLET, {LOG: 4.0j}).divergent_part()
-    f = deviation_factor(div, coupling=0.5, coupling_power=2)
-    lam = 9.0
-    assert f.evaluate(lam) == pytest.approx(
-        cmath.exp(1.0j * math.log(lam)), rel=1e-14)
-
-
 def test_deviation_factor_rejects_inadmissible():
     div = AsymptoticExpansion(ULTRAVIOLET, {LOG: 1.0}).divergent_part()
     with pytest.raises(AdmissibilityError) as err:

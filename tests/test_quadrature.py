@@ -92,12 +92,12 @@ def test_segment_feynman_parameter_moment():
 
 
 def test_segment_endpoint_singularities():
-    res = segment_integrate(np.log, 0.0, 1.0, tol=1e-10,
-                            endpoint_singular=True)
-    assert res.converged
+    # integrable endpoint singularities fit well inside the default budget
+    res = segment_integrate(np.log, 0.0, 1.0, tol=1e-10)
+    assert res.converged and res.neval == 825
     assert res.value == pytest.approx(-1.0, rel=1e-9)
-    res = segment_integrate(lambda u: u ** -0.5, 0.0, 1.0, tol=1e-10,
-                            endpoint_singular=True)
+    res = segment_integrate(lambda u: u ** -0.5, 0.0, 1.0, tol=1e-10)
+    assert res.converged and res.neval == 1725
     assert res.value == pytest.approx(2.0, rel=1e-8)
 
 
@@ -144,6 +144,15 @@ def test_segment_budget_exhaustion_reports_nonconverged():
                             0.0, 1.0, tol=1e-14, max_evals=120)
     assert not res.converged
     assert math.isfinite(res.value)
+
+
+def test_segment_budget_below_one_panel_evaluates_nothing():
+    res = segment_integrate(np.sin, 0.0, 1.0, max_evals=10)
+    assert (res.value, res.error, res.converged, res.neval) == (
+        0.0, math.inf, False, 0)
+    assert isinstance(res.value, float)
+    res = segment_integrate(np.sin, 0.0, 1.0, max_evals=15)
+    assert res.converged and res.neval == 15
 
 
 def test_segment_freezes_panels_at_float_resolution():
@@ -255,8 +264,9 @@ def test_ball_component_matches_difference_of_building_blocks():
     assert comp.value == pytest.approx(asymptote, rel=2e-3)
 
 
-def test_ball_angular_escalation_resolves_peaked_angle(monkeypatch):
-    c = 1.004
+def _peaked_angle(c=1.004):
+    """A callable sharply peaked along its axis, over the ball of radius 5,
+    with its exact integral."""
     axis = np.array([0.0, 1.0, 0.0, 0.0])
 
     def f(pts):
@@ -267,8 +277,11 @@ def test_ball_angular_escalation_resolves_peaked_angle(monkeypatch):
     # polar slices of the 3-sphere are 2-spheres: 4 pi sin^2(theta) measure
     radial = 0.5 * (math.log(1.0 + 25.0) + 1.0 / 26.0 - 1.0)
     angular = FOUR_PI * math.pi * (c - math.sqrt(c * c - 1.0))
-    exact = radial * angular
+    return f, axis, radial * angular
 
+
+def test_ball_angular_escalation_resolves_peaked_angle(monkeypatch):
+    f, axis, exact = _peaked_angle()
     res = ball4_integrate(f, 5.0, tol=1e-8, axis=axis)
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-7)
@@ -277,6 +290,47 @@ def test_ball_angular_escalation_resolves_peaked_angle(monkeypatch):
     stuck = ball4_integrate(f, 5.0, tol=1e-8, axis=axis)
     assert not stuck.converged
     assert stuck.error > res.error
+
+
+@pytest.mark.parametrize("max_evals, neval", [(20000, 18915), (40000, 39390),
+                                              (60000, 56940)])
+def test_ball_escalation_keeps_last_funded_attempt(max_evals, neval):
+    # the next angular order's first panel does not fit what is left of the
+    # budget: the attempt already made is returned, not an empty one
+    f, axis, exact = _peaked_angle()
+    res = ball4_integrate(f, 5.0, tol=1e-12, axis=axis, max_evals=max_evals)
+    assert not res.converged and res.neval == neval
+    assert isinstance(res.value, float)
+    assert abs(res.value - exact) <= res.error < math.inf
+    assert res.value == pytest.approx(exact, rel=1e-8)
+
+
+def test_ball_callable_budget_below_one_panel_is_real():
+    res = ball4_integrate(lambda pts: np.ones(pts.shape[0]), 30.0, tol=1e-8,
+                          axis=[1.0, 0.0, 0.0, 0.0], max_evals=20)
+    assert (res.value, res.error, res.converged, res.neval) == (
+        0.0, math.inf, False, 0)
+    assert isinstance(res.value, float)
+
+
+@pytest.mark.parametrize("max_evals", [1_000_000, 20000])
+def test_ball_complex_callable_stays_complex_through_escalation(
+        monkeypatch, max_evals):
+    f, axis, exact = _peaked_angle()
+    orders = []
+    radial = quadrature._adaptive_radial
+
+    def spy(g, ax, n, *args):
+        orders.append(n)
+        return radial(g, ax, n, *args)
+
+    monkeypatch.setattr(quadrature, "_adaptive_radial", spy)
+    res = ball4_integrate(lambda pts: (1.0 + 1.0j) * f(pts), 5.0, tol=1e-12,
+                          axis=axis, max_evals=max_evals)
+    assert orders[:2] == [48, 97]  # escalated at least once
+    assert isinstance(res.value, complex)
+    assert res.value.real == res.value.imag
+    assert res.value.real == pytest.approx(exact, rel=1e-8)
 
 
 def test_ball_callable_without_axis_raises():
@@ -307,9 +361,16 @@ def test_ball_validation():
     for radius, tol, abs_tol in (
             (0.0, 1e-8, None), (1.0, -1e-8, None), (math.inf, 1e-8, None),
             (math.nan, 1e-8, None), (1.0, math.nan, None),
-            (1.0, math.inf, None), (1.0, 1e-8, -1.0), (1.0, 1e-8, math.nan)):
+            (1.0, math.inf, None), (1.0, 1e-8, -1.0), (1.0, 1e-8, math.nan),
+            (6.6e76, 1e-8, None), (9e76, 1e-8, None), (1e77, 1e-8, None),
+            (1.2e77, 1e-8, None), (1e200, 1e-8, 0.0)):
         with pytest.raises(ValueError):
             ball4_integrate(unit_integrand(), radius, tol=tol, abs_tol=abs_tol)
+    # pi^2 L^4 stays finite up to L ~ 6.5e76, and so does the integral
+    res = ball4_integrate(unit_integrand(), 6.5e76, tol=1e-10)
+    assert res.converged
+    assert res.value == pytest.approx(0.5 * (math.pi * 6.5e76 ** 2) ** 2,
+                                      rel=1e-13)
     for axis in ([1.0, 0.0, 0.0], [1.0] * 8, [math.nan, 1.0, 0.0, 0.0],
                  [math.inf, 0.0, 0.0, 0.0], [0.0] * 4, [1e300] * 4):
         with pytest.raises(ValueError, match="axis"):
