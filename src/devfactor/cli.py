@@ -15,6 +15,7 @@ as one JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -390,7 +391,10 @@ def cmd_coulomb(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    main() call; its list defaults are tuples so no call can change them."""
     parser = argparse.ArgumentParser(
         prog="devfactor",
         description="Cutoff-divergence toolkit: Dirac spectra, ball-cutoff "
@@ -408,12 +412,11 @@ def build_parser():
     p.add_argument("--q", type=_three_vector, required=True,
                    help="3-momentum, comma separated")
     p.add_argument("--m", type=float, required=True, help="mass")
-    p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("ladder", help="ball-cutoff integral ladder to CSV")
     common(p, "ladder")
     p.add_argument("--integrand", choices=_INTEGRANDS, default="shifted")
-    p.add_argument("--p", type=_four_vector, default=[0.0, 0.0, 0.0, 0.0],
+    p.add_argument("--p", type=_four_vector, default=(0.0, 0.0, 0.0, 0.0),
                    help="denominator shift 4-vector")
     p.add_argument("--ell", type=float, default=1.0,
                    help="denominator constant")
@@ -422,7 +425,6 @@ def build_parser():
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-evals", type=int, default=1_000_000)
-    p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("fit", help="fit a ladder CSV against cutoff basis functions")
     common(p, "fit")
@@ -431,22 +433,20 @@ def build_parser():
                    help="comma-separated tokens, e.g. ln,1,1/L")
     p.add_argument("--threshold", type=float, default=None,
                    help="also emit the thresholded divergence signature")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("regularize",
                        help="split a coupling series into factor and regular part")
     common(p, "regularize")
     p.add_argument("--infile", required=True,
                    help="JSON with coupling and coefficient expansions")
-    p.add_argument("--lambdas", type=_float_list, default=[1e2, 1e3, 1e4],
+    p.add_argument("--lambdas", type=_float_list, default=(1e2, 1e3, 1e4),
                    help="regulator values to evaluate at")
-    p.set_defaults(func=cmd_regularize)
 
     p = sub.add_parser("example", help="worked amplitude examples")
     common(p, "example")
     p.add_argument("--id", required=True,
                    help="5.1/electron, 5.3/photon, 5.6/vertex")
-    p.add_argument("--p", type=_four_vector, default=[1.0, 0.0, 0.0, 0.0],
+    p.add_argument("--p", type=_four_vector, default=(1.0, 0.0, 0.0, 0.0),
                    help="electron: external momentum")
     p.add_argument("--p2", type=float, default=1.0,
                    help="photon: squared momentum")
@@ -460,14 +460,13 @@ def build_parser():
     p.add_argument("--mu", type=int, default=1, help="vertex: matrix index 1..4")
     p.add_argument("--cross-check", action="store_true",
                    help="electron: run the ladder coefficient cross-checks")
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("coulomb", help="Coulomb kernel tables and phase signature")
     common(p, "coulomb")
     p.add_argument("--z", type=float, default=1.0, help="Coulomb strength")
     p.add_argument("--e", type=float, default=1.0, help="coupling")
     p.add_argument("--ell", type=int, default=0, help="partial wave")
-    p.add_argument("--measure", type=_measure_pairs, default=[],
+    p.add_argument("--measure", type=_measure_pairs, default=(),
                    help="Yukawa terms beta:weight, comma separated")
     p.add_argument("--kmin", type=float, default=0.5)
     p.add_argument("--kmax", type=float, default=8.0)
@@ -478,7 +477,6 @@ def build_parser():
                    help="outgoing times for the phase signature")
     p.add_argument("--tau", type=_float_list, default=None,
                    help="incoming (negative) times for the phase signature")
-    p.set_defaults(func=cmd_coulomb)
 
     return parser
 
@@ -490,13 +488,13 @@ def main(argv=None):
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except NonConvergenceError as exc:
         _emit_error("non-convergence", exc)
         return 4

@@ -171,9 +171,10 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     errors meet max(abs_tol, tol * |value|), the angular error dominates
     (unconverged; the caller may sample more finely), or the next bisection
     would exceed max_evals.  Panels too narrow to bisect in floating point are
-    frozen.  Returns (value, error, angular error, converged, nevals), summed
-    with compensation over the panels sorted by position; value is complex
-    only if some sample was.  A budget below one panel returns
+    frozen.  The stopping test reads running sums, updated per bisection.
+    Returns (value, error, angular error, converged, nevals), summed with
+    compensation over the panels sorted by position; value is complex only if
+    some sample was.  A budget below one panel returns
     (0.0, inf, inf, False, 0).
     """
     per_panel = GK_NODES.size * points
@@ -187,7 +188,6 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
         fine, coarse = sample(0.5 * (lo + hi) + h * GK_NODES)
         if np.iscomplexobj(fine):
             complex_seen = True
-        fine = fine.astype(complex)
         k = h * np.dot(GK_WEIGHTS, fine)
         ang = 0.0 if coarse is None else float(
             h * np.dot(GK_WEIGHTS, np.abs(fine - coarse)))
@@ -198,11 +198,18 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     first = panel(a, b)
     heap = [(-first[3], counter, first)]
     frozen = []
+    total, err, ang = first[2:]
+    synced = err + ang
     converged = True
     while True:
-        total = sum(p[2] for _, _, p in heap) + sum(p[2] for p in frozen)
-        err = sum(p[3] for _, _, p in heap) + sum(p[3] for p in frozen)
-        ang = sum(p[4] for _, _, p in heap) + sum(p[4] for p in frozen)
+        if err + ang < synced / 1024:
+            # running sums drift by rounding relative to the larger sums they
+            # came from: re-add the panels once the errors shrink
+            panels = [p for _, _, p in heap] + frozen
+            total = sum(p[2] for p in panels)
+            err = math.fsum(p[3] for p in panels)
+            ang = math.fsum(p[4] for p in panels)
+            synced = err + ang
         need = max(abs_tol, tol * abs(total))
         if err + ang <= need:
             break
@@ -210,15 +217,22 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
                 or neval + 2 * per_panel > max_evals):
             converged = False
             break
-        lo, hi = heapq.heappop(heap)[2][:2]
+        old = heapq.heappop(heap)[2]
+        lo, hi = old[:2]
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             frozen.append(panel(lo, hi))
             neval += per_panel
             continue
+        total -= old[2]
+        err -= old[3]
+        ang -= old[4]
         for piece in (panel(lo, mid), panel(mid, hi)):
             counter += 1
             heapq.heappush(heap, (-piece[3], counter, piece))
+            total += piece[2]
+            err += piece[3]
+            ang += piece[4]
         neval += 2 * per_panel
 
     panels = sorted([p for _, _, p in heap] + frozen, key=lambda p: p[0])
@@ -334,6 +348,19 @@ def _eval_points(f, pts):
     return vals
 
 
+def _check_radius(radius):
+    """radius as a float: finite, positive, and leaving the ball's volume
+    scale pi^2 radius^4 finite."""
+    radius = float(radius)
+    if not (0 < radius < math.inf):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    scale = math.pi * radius * radius
+    if not scale * scale < math.inf:
+        raise ValueError(
+            f"radius {radius} overflows the ball's volume scale pi^2 radius^4")
+    return radius
+
+
 def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
                     max_evals=_DEFAULT_BALL_EVALS):
     """Integral of f over the solid 4-ball of the given radius.
@@ -347,13 +374,7 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
     previous attempt.  The radius must leave the ball's volume scale
     pi^2 radius^4 finite.
     """
-    radius = float(radius)
-    if not (0 < radius < math.inf):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    scale = math.pi * radius * radius
-    if not scale * scale < math.inf:
-        raise ValueError(
-            f"radius {radius} overflows the ball's volume scale pi^2 radius^4")
+    radius = _check_radius(radius)
     if abs_tol is None:
         abs_tol = 1e-14 * max(1.0, radius) ** 4
     _check_tolerances(tol, abs_tol)
@@ -452,10 +473,9 @@ class SampledIntegral:
 
 
 def cutoff_ladder(f, radii, tol=1e-8, **kwargs):
-    """Evaluate the ball integral of f at each cutoff radius in turn."""
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise ValueError("cutoff radii must be positive")
+    """Evaluate the ball integral of f at each cutoff radius in turn; every
+    radius is checked before the first integral."""
+    radii = [_check_radius(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("cutoff radii must be strictly increasing")
     values = []

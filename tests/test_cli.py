@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) against tmp_path outputs; one
 subprocess smoke test covers the module entry point.
 """
 
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from devfactor.cli import main, parse_config_file
+from devfactor import cli, quadrature
+from devfactor.cli import build_parser, main, parse_config_file
 from devfactor.expansions import (
     CONSTANT,
     LOG,
@@ -120,14 +122,21 @@ def test_ladder_nonfinite_input_exit_3(tmp_path, capsys, bad):
     assert err["error"]["type"] == "domain"
 
 
-def test_ladder_overflowing_cutoff_exit_3(tmp_path, capsys):
-    # the top rung's pi^2 L^4 overflows a double: a domain error, not a crash
+def test_ladder_overflowing_cutoff_exit_3(tmp_path, capsys, monkeypatch):
+    # the top rung's pi^2 L^4 overflows a double: a domain error, not a
+    # crash, and refused before any rung is integrated
+    radii = []
+    integrate = quadrature.ball4_integrate
+    monkeypatch.setattr(quadrature, "ball4_integrate",
+                        lambda f, radius, *a, **k: radii.append(radius)
+                        or integrate(f, radius, *a, **k))
     rc = main(["ladder", "--lmin", "10", "--lmax", "1e80", "--points", "3",
                "--out", str(tmp_path)])
     assert rc == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"]["type"] == "domain"
     assert "overflows" in err["error"]["message"]
+    assert radii == []
 
 
 # ------------------------------------------------------------- fit
@@ -387,6 +396,88 @@ def test_argparse_error_exit_2(capsys):
     assert main(["ladder", "--points", "three"]) == 2
     assert main(["unknown-command"]) == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------- reuse
+
+
+README_ARGV = (
+    "spectral --q 1,2,3 --m 4",
+    "ladder --integrand shifted --p 0.3,0,0,0 --ell 1.09 "
+    "--lmin 10 --lmax 1000 --points 8",
+    "fit --infile {out}/ladder.csv --threshold 1e-6",
+    "regularize --infile series.json --lambdas 100,1000,10000",
+    "example --id electron --p 1,0,0,0 --m 1 --cross-check",
+    "example --id photon --p2 1.0 --m 1",
+    "example --id vertex --mu 1 --photon-mass 0.001 --cutoff 1000",
+    "coulomb --z 1 --k-ref 2",
+)
+
+
+def test_second_call_builds_no_parser(tmp_path, monkeypatch):
+    args = ["spectral", "--q", "1,0,0", "--m", "1", "--out", str(tmp_path)]
+    assert main(args) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *a, **k):
+        built.append(k.get("prog"))
+        init(self, *a, **k)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(args) == 0
+    assert main(["ladder", "--points", "three"]) == 2
+    assert built == []
+
+
+def test_dispatch_reaches_rebound_handler(tmp_path, monkeypatch):
+    args = ["spectral", "--q", "1,0,0", "--m", "2", "--out", str(tmp_path)]
+    assert main(args) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectral",
+                        lambda ns: seen.append((ns.command, ns.m)) or 0)
+    assert main(args) == 0
+    assert seen == [("spectral", 2.0)]
+
+
+def test_parser_defaults_are_immutable():
+    # one parser serves every call in a process: a handler must not be able
+    # to change the defaults the next call inherits
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            assert not isinstance(action.default, (list, dict, set)), (
+                name, action.dest)
+
+
+def test_readme_commands_repeat_byte_identically(tmp_path, monkeypatch,
+                                                 capsys):
+    write_series_file(tmp_path / "series.json")
+    monkeypatch.chdir(tmp_path)
+    codes = {}
+    for out in ("a", "b"):
+        codes[out] = [main(line.format(out=out).split() + ["--out", out])
+                      for line in README_ARGV]
+    capsys.readouterr()
+    # the README's 8-rung ladder is too short for the default fit basis
+    assert codes["a"] == codes["b"] == [0, 0, 3, 0, 0, 0, 0, 0]
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert len(names) == 14
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
+def test_repeated_help_and_bad_flags(capsys):
+    for _ in range(3):
+        assert main(["--help"]) == 0
+        assert main(["ladder", "--help"]) == 0
+        assert main(["ladder", "--points", "three"]) == 2
+        assert main(["spectral", "--q", "1,2"]) == 2
+        assert main(["unknown-command"]) == 2
+    assert capsys.readouterr().out.count("usage: devfactor ladder") == 3
 
 
 def test_module_entry_point(tmp_path):

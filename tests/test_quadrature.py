@@ -108,6 +108,21 @@ def test_segment_complex_integrand():
     assert isinstance(res.value, complex)
 
 
+@pytest.mark.parametrize("f, a, b", [
+    (np.cos, 0.0, 3.0), (np.log, 0.0, 1.0),
+    (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0)])
+def test_segment_real_samples_match_their_complex_form(f, a, b):
+    # real samples are dotted as floats, complex ones as complex: the sums
+    # differ in order only, so the values agree to a few ulps of the integral
+    # of |f| (the error estimates, differences of such sums, agree less)
+    real = segment_integrate(f, a, b, tol=1e-12)
+    cplx = segment_integrate(lambda x: f(x) + 0j, a, b, tol=1e-12)
+    assert isinstance(real.value, float) and isinstance(cplx.value, complex)
+    assert cplx.value.imag == 0.0 and real.neval == cplx.neval
+    scale = segment_integrate(lambda x: np.abs(f(x)), a, b, tol=1e-6).value
+    assert abs(real.value - cplx.value.real) <= 8 * np.finfo(float).eps * scale
+
+
 def test_segment_error_estimate_is_honest():
     res = segment_integrate(lambda x: np.cos(10.0 * x), 0.0, 3.0, tol=1e-10)
     exact = math.sin(30.0) / 10.0
@@ -163,6 +178,18 @@ def test_segment_freezes_panels_at_float_resolution():
     assert not res.converged
     assert res.neval == 1425
     assert res.value == pytest.approx(-0.8421137331778507, rel=1e-12)
+
+
+@pytest.mark.parametrize("width, neval", [(1e-6, 4365), (1e-8, 61395)])
+def test_segment_running_sums_stop_where_exact_sums_do(width, neval):
+    # the first panel's error is 1e12 or more times the last ones; running
+    # sums left to drift stop at other panels, and the 1e-8 one then claims
+    # convergence with an error above the tolerance
+    f = lambda x: 1.0 / (width * width + (x - 0.3) ** 2) + 1e-3 * x
+    res = segment_integrate(f, 0.0, 1.0, tol=1e-13)
+    assert res.converged
+    assert res.error <= 1e-13 * abs(res.value)
+    assert res.neval == neval
 
 
 def test_segment_determinism():
@@ -420,6 +447,19 @@ def test_cutoff_ladder_validation():
         cutoff_ladder(integrand, [10.0, 5.0])
     with pytest.raises(ValueError):
         cutoff_ladder(integrand, [-1.0, 5.0])
+    # every radius is checked before the first rung is integrated
+    calls = []
+
+    def f(pts):
+        calls.append(pts.shape[0])
+        return np.ones(pts.shape[0])
+
+    with pytest.raises(ValueError, match="overflows"):
+        cutoff_ladder(f, [10.0, 1e80], axis=[1.0, 0.0, 0.0, 0.0])
+    for radii in ([10.0, math.inf], [10.0, math.nan], [0.0, 10.0]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cutoff_ladder(f, radii, axis=[1.0, 0.0, 0.0, 0.0])
+    assert calls == []
 
 
 def test_sampled_integral_validation():
