@@ -22,16 +22,17 @@ from .expansions import (
 )
 from .quadrature import SampledIntegral
 
-# L^2, L, ln^2, ln, 1, 1/L, 1/L^2
-DEFAULT_BASIS = (
-    BasisFunction(2, 0),
-    BasisFunction(1, 0),
-    BasisFunction(0, 2),
-    BasisFunction(0, 1),
-    BasisFunction(0, 0),
-    BasisFunction(-1, 0),
-    BasisFunction(-2, 0),
-)
+BASIS_TOKENS = {
+    "L^2": BasisFunction(2, 0),
+    "L": BasisFunction(1, 0),
+    "ln^2": BasisFunction(0, 2),
+    "ln": BasisFunction(0, 1),
+    "1": BasisFunction(0, 0),
+    "1/L": BasisFunction(-1, 0),
+    "1/L^2": BasisFunction(-2, 0),
+}
+
+DEFAULT_BASIS = tuple(BASIS_TOKENS.values())
 
 CONDITION_LIMIT = 1e12
 MIN_DECADES = 2.0
@@ -80,28 +81,21 @@ class FitResult:
         }
 
 
-def _design_matrix(lambdas, basis):
-    cols = [np.array([b.value(lam) for lam in lambdas]) for b in basis]
-    return np.column_stack(cols)
-
-
 def fit(samples, basis=DEFAULT_BASIS):
     """Least-squares fit of ladder samples against cutoff basis functions.
 
-    Requires at least two more samples than basis functions and a grid
-    spanning two decades.  Samples are weighted by their inverse error
-    estimates, unless every estimate is zero.  Raises CollinearBasisError when
-    the normalized design is ill-conditioned, naming the most collinear basis
-    pairs.
+    Requires finite cutoffs and values with finite, non-negative errors, at
+    least two more samples than basis functions and a grid spanning two
+    decades.  Samples are weighted by their inverse error estimates, unless
+    every estimate is zero.  One SVD of the weighted, column-normalized design
+    gives its condition number, the coefficients and their standard errors,
+    without forming the normal equations.  Raises CollinearBasisError when the
+    design is ill-conditioned, naming the most collinear basis pairs.
     """
     basis = tuple(basis)
     if len(set(basis)) != len(basis):
-        seen = {}
-        dupes = []
-        for b in basis:
-            if b in seen:
-                dupes.append((str(b), str(b)))
-            seen[b] = True
+        dupes = [(str(b), str(b))
+                 for i, b in enumerate(basis) if b in basis[:i]]
         raise CollinearBasisError(
             f"duplicate basis functions: {dupes}", np.inf, dupes)
     n = len(samples)
@@ -110,32 +104,39 @@ def fit(samples, basis=DEFAULT_BASIS):
         raise ValueError(
             f"need at least {m + 2} samples for {m} basis functions, got {n}")
     lams = samples.lambdas
+    errors = samples.errors
+    ok = (np.isfinite(lams) & np.isfinite(samples.values)
+          & np.isfinite(errors) & (errors >= 0))
+    if not np.all(ok):
+        raise ValueError(
+            f"sample rows {np.nonzero(~ok)[0].tolist()} need a finite cutoff, "
+            f"a finite value and a finite, non-negative error")
     decades = np.log10(lams[-1] / lams[0])
     if decades < MIN_DECADES:
         raise ValueError(
             f"sample grid spans {decades:.2f} decades; need at least {MIN_DECADES}")
 
-    design = _design_matrix(lams, basis)
     weights = np.ones(n)
-    if np.any(samples.errors > 0):
-        floor = max(np.max(samples.errors) * 1e-6, 1e-300)
-        weights = 1.0 / np.maximum(samples.errors, floor)
+    if np.any(errors > 0):
+        floor = max(np.max(errors) * 1e-6, 1e-300)
+        weights = 1.0 / np.maximum(errors, floor)
         weights /= np.max(weights)
 
-    wd = design * weights[:, None]
+    logs = np.log(lams)
+    wd = np.column_stack([lams ** float(b.power) * logs ** b.logpower
+                          for b in basis]) * weights[:, None]
     scale = np.linalg.norm(wd, axis=0)
     if np.any(scale == 0):
         dead = [str(basis[j]) for j in np.nonzero(scale == 0)[0]]
         raise ValueError(f"basis functions vanish on the grid: {dead}")
     wdn = wd / scale
-    condition = float(np.linalg.cond(wdn))
+    u, s, vt = np.linalg.svd(wdn, full_matrices=False)
+    condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     if condition > CONDITION_LIMIT:
         gram = np.abs(wdn.T @ wdn)
-        pairs = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                if gram[i, j] > 1.0 - 1e-8:
-                    pairs.append((str(basis[i]), str(basis[j])))
+        pairs = [(str(basis[i]), str(basis[j]))
+                 for i in range(m) for j in range(i + 1, m)
+                 if gram[i, j] > 1.0 - 1e-8]
         raise CollinearBasisError(
             f"design condition {condition:.3e} exceeds {CONDITION_LIMIT:.1e}; "
             f"nearly collinear pairs: {pairs or 'none isolated'}",
@@ -143,23 +144,17 @@ def fit(samples, basis=DEFAULT_BASIS):
 
     rhs = np.column_stack([samples.values.real * weights,
                            samples.values.imag * weights])
-    sol, _, _, _ = np.linalg.lstsq(wdn, rhs, rcond=None)
-    coeffs_re = sol[:, 0] / scale
-    coeffs_im = sol[:, 1] / scale
-    resid = rhs - wdn @ sol
-    rss = float(np.sum(resid ** 2))
-    dof = max(2 * n - 2 * m, 1)
-    sigma_sq = rss / dof
-    gram_inv = np.linalg.inv(wdn.T @ wdn)
-    var_norm = sigma_sq * np.diag(gram_inv)
-    stderr_vals = np.sqrt(np.maximum(var_norm, 0.0)) / scale
+    v_over_s = vt.T / s
+    sol = v_over_s @ (u.T @ rhs)
+    rss = float(np.sum((rhs - wdn @ sol) ** 2))
+    sigma_sq = rss / (2 * n - 2 * m)
+    # diag((A^T A)^-1) = sum_k (V_jk / s_k)^2
+    stderr_vals = np.sqrt(sigma_sq * np.sum(v_over_s ** 2, axis=1)) / scale
+    coeffs = sol / scale[:, None]
 
-    coefficients = {}
-    stderr = {}
-    for j, b in enumerate(basis):
-        coefficients[b] = complex(coeffs_re[j], coeffs_im[j])
-        stderr[b] = float(stderr_vals[j])
-    return FitResult(basis, coefficients, stderr,
+    return FitResult(basis,
+                     {b: complex(*c) for b, c in zip(basis, coeffs)},
+                     {b: float(e) for b, e in zip(basis, stderr_vals)},
                      residual_norm=float(np.sqrt(rss)),
                      condition=condition, n_samples=n)
 
@@ -172,8 +167,9 @@ def detect_signature(samples, threshold=1e-4, basis=DEFAULT_BASIS,
     Returns the surviving terms as an asymptotic expansion (empty when all
     coefficients are negligible).
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < np.inf:
+        raise ValueError(
+            f"threshold must be finite and positive, got {threshold}")
     result = fit(samples, basis)
     mags = {b: abs(c) for b, c in result.coefficients.items()}
     top = max(mags.values(), default=0.0)
@@ -183,17 +179,6 @@ def detect_signature(samples, threshold=1e-4, basis=DEFAULT_BASIS,
             if mags[b] > threshold * top:
                 terms[b] = c
     return AsymptoticExpansion(regulator, terms, dim=1)
-
-
-BASIS_TOKENS = {
-    "L^2": BasisFunction(2, 0),
-    "L": BasisFunction(1, 0),
-    "ln^2": BasisFunction(0, 2),
-    "ln": BasisFunction(0, 1),
-    "1": BasisFunction(0, 0),
-    "1/L": BasisFunction(-1, 0),
-    "1/L^2": BasisFunction(-2, 0),
-}
 
 
 def parse_basis(text):

@@ -171,10 +171,10 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     errors meet max(abs_tol, tol * |value|), the angular error dominates
     (unconverged; the caller may sample more finely), or the next bisection
     would exceed max_evals.  Panels too narrow to bisect in floating point are
-    frozen.  The stopping test reads running sums, updated per bisection.
-    Returns (value, error, angular error, converged, nevals), summed with
-    compensation over the panels sorted by position; value is complex only if
-    some sample was.  A budget below one panel returns
+    frozen as sampled.  The stopping test reads running sums, updated per
+    bisection.  Returns (value, error, angular error, converged, nevals),
+    summed with compensation over the panels sorted by position; value is
+    complex only if some sample was.  A budget below one panel returns
     (0.0, inf, inf, False, 0).
     """
     per_panel = GK_NODES.size * points
@@ -221,8 +221,7 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
         lo, hi = old[:2]
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
-            frozen.append(panel(lo, hi))
-            neval += per_panel
+            frozen.append(old)
             continue
         total -= old[2]
         err -= old[3]

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,34 @@ def test_fit_missing_file_exit_3(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"]["type"] == "domain"
+
+
+def test_fit_of_starved_ladder_names_rows_exit_3(tmp_path, capsys):
+    # a budget below one panel leaves every rung at err = inf
+    assert main(["ladder", "--integrand", "shifted", "--p", "0.5,0,0,0",
+                 "--lmin", "10", "--lmax", "1000", "--points", "4",
+                 "--max-evals", "10", "--out", str(tmp_path)]) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["fit", "--infile", str(tmp_path / "ladder.csv"),
+                   "--basis", "ln,1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert caught == []
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "domain"
+    assert "sample rows [0, 1, 2, 3]" in err["error"]["message"]
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_fit_nonpositive_or_nonfinite_threshold_exit_3(tmp_path, capsys,
+                                                       threshold):
+    rc = main(["fit", "--infile", FIXTURE, "--threshold", threshold,
+               "--out", str(tmp_path)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "threshold" in err["error"]["message"]
+    assert not (tmp_path / "fit.json").exists()
 
 
 # ------------------------------------------------------------- regularize

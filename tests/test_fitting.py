@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,15 +126,75 @@ def test_duplicate_basis_rejected():
 
 
 def test_collinear_basis_names_pair():
-    # lambda^(1e-9) is numerically constant: degenerate with the 1 column
-    flat = BasisFunction("1/1000000000", 0)
+    # lambda^(1e-9) is numerically constant: degenerate with the 1 column;
+    # lambda^(1e-20) rounds to 1.0 on every rung, and with the 1 column alone
+    # the design's smallest singular value is exactly zero
     lambdas = np.geomspace(10.0, 1e4, 9)
     values = np.log(lambdas) + 2.0
-    with pytest.raises(CollinearBasisError) as err:
-        fit(make_samples(lambdas, values), basis=(LOG, CONSTANT, flat))
-    assert err.value.condition > 1e12
-    pairs = [frozenset(p) for p in err.value.pairs]
-    assert frozenset((str(CONSTANT), str(flat))) in pairs
+    for power, others in (("1/1000000000", (LOG, CONSTANT)),
+                          ("1/100000000000000000000", (CONSTANT,))):
+        flat = BasisFunction(power, 0)
+        with pytest.raises(CollinearBasisError) as err:
+            fit(make_samples(lambdas, values), basis=others + (flat,))
+        assert err.value.condition > 1e12
+        pairs = [frozenset(p) for p in err.value.pairs]
+        assert frozenset((str(CONSTANT), str(flat))) in pairs
+
+
+def _normal_equations_stderr(samples, basis):
+    """sigma * sqrt(diag((A^T A)^-1)), sigma^2 = rss / (2n - 2m), in 60-digit
+    arithmetic on the float design fit builds (unit weights: equal errors)."""
+    lams = samples.lambdas
+    design = np.column_stack([lams ** float(b.power)
+                              * np.log(lams) ** b.logpower for b in basis])
+    n, m = design.shape
+    with mpmath.workdps(60):
+        a = mpmath.matrix(design.tolist())
+        gram_inv = mpmath.inverse(a.T * a)
+        rss = 0
+        for part in (samples.values.real, samples.values.imag):
+            y = mpmath.matrix(part.tolist())
+            resid = y - a * (gram_inv * (a.T * y))
+            rss += sum(r ** 2 for r in resid)
+        sigma_sq = rss / (2 * n - 2 * m)
+        return [float(mpmath.sqrt(sigma_sq * gram_inv[j, j]))
+                for j in range(m)]
+
+
+@pytest.mark.parametrize("power, cond_range, rel", [
+    ("1/1000", (1e6, 1.5e6), 1e-9),
+    # the normal equations square this condition past double precision
+    ("1/100000", (1e10, 1.5e10), 1e-5),
+])
+def test_stderr_matches_extended_precision_reference(power, cond_range, rel):
+    # the 1e-3 noise keeps the residual's own rounding below the covariance
+    # error the normal equations would add
+    rng = np.random.default_rng(97)
+    lambdas = np.geomspace(10.0, 1e4, 12)
+    values = (np.log(lambdas) + 2.0
+              + 1e-3 * (rng.normal(size=12) + 1j * rng.normal(size=12)))
+    samples = make_samples(lambdas, values, err=1e-3)
+    basis = (LOG, CONSTANT, BasisFunction(power, 0))
+    res = fit(samples, basis)
+    assert cond_range[0] < res.condition < cond_range[1]
+    ref = _normal_equations_stderr(samples, basis)
+    for b, want in zip(basis, ref):
+        assert res.stderr[b] == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("row, value, err", [(2, 1.0, math.inf),
+                                             (5, math.nan, 1e-3),
+                                             (9, 1.0, -1e-3)],
+                         ids=["inf-error", "nan-value", "negative-error"])
+def test_nonfinite_or_negative_rows_rejected(row, value, err):
+    lambdas = np.geomspace(10.0, 1e4, 12)
+    values = np.log(lambdas) + 0j
+    errors = np.full(12, 1e-3)
+    values[row] = value
+    errors[row] = err
+    samples = SampledIntegral(lambdas, values, errors, np.ones(12, dtype=bool))
+    with pytest.raises(ValueError, match=rf"sample rows \[{row}\] need"):
+        fit(samples, basis=(LOG, CONSTANT))
 
 
 def test_narrow_grid_rejected():
@@ -169,6 +230,9 @@ def test_detect_signature_threshold_and_regulator():
                            regulator=INFRARED)
     assert set(sig.terms) == {LOG}
     assert sig.regulator == INFRARED
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold"):
+            detect_signature(make_samples(lambdas, values), threshold=bad)
 
 
 def test_parse_basis_round_trip():

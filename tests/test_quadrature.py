@@ -176,8 +176,23 @@ def test_segment_freezes_panels_at_float_resolution():
     res = segment_integrate(lambda x: np.cos(x - 1e16), 1e16, 1e16 + 64.0,
                             tol=1e-20, max_evals=3000)
     assert not res.converged
-    assert res.neval == 1425
+    assert res.neval == 945
     assert res.value == pytest.approx(-0.8421137331778507, rel=1e-12)
+
+
+def test_segment_samples_each_node_set_once():
+    # [5e15, 5e15 + 2] spans two float steps: one bisection leaves two
+    # panels too narrow to bisect, which keep the values they were sampled with
+    calls = []
+
+    def f(x):
+        calls.append(x.tobytes())
+        return np.cos(x - 5e15)
+
+    res = segment_integrate(f, 5e15, 5e15 + 2.0, tol=1e-20)
+    assert not res.converged
+    assert len(set(calls)) == len(calls) == 3
+    assert res.neval == 15 * len(calls)
 
 
 @pytest.mark.parametrize("width, neval", [(1e-6, 4365), (1e-8, 61395)])
