@@ -38,33 +38,36 @@ KIND_INV_SQUARE = _kernels.KIND_INV_SQUARE
 KIND_AXIAL_COMPONENT = _kernels.KIND_AXIAL_COMPONENT
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: positive Kronrod nodes (descending),
-# Kronrod weights, and the embedded 7-point Gauss weights.  The polynomial
-# exactness of both rules (degree 13 and 22) is pinned by tests.
+# Kronrod weights, and the embedded 7-point Gauss weights.  Each literal is
+# the double nearest the exact value, to 17 significant digits; the Kronrod
+# nodes are the zeros of P_7 and of the Stieltjes polynomial E_8, and the
+# weights solve the moment equations.  Tests recompute them in mpmath and pin
+# the polynomial exactness of both rules (degree 13 and 22).
 _XGK_POS = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.000000000000000,
+    0.99145537112081261,
+    0.94910791234275849,
+    0.86486442335976910,
+    0.74153118559939446,
+    0.58608723546769115,
+    0.40584515137739718,
+    0.20778495500789848,
+    0.0,
 ])
 _WGK_POS = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224,
+    0.063092092629978558,
+    0.10479001032225019,
+    0.14065325971552592,
+    0.16900472663926791,
+    0.19035057806478542,
+    0.20443294007529889,
+    0.20948214108472782,
 ])
 _WG_POS = np.array([
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.12948496616886970,
+    0.27970539148927664,
+    0.38183005050511892,
+    0.41795918367346940,
 ])
 
 GK_NODES = np.concatenate([-_XGK_POS[:-1], _XGK_POS[::-1]])
@@ -153,7 +156,7 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
     return QuadratureResult(value, err, converged, neval)
 
 
-def _check_tolerances(tol, abs_tol):
+def _check_tolerances(tol, abs_tol=0.0):
     if not (0 < tol < math.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if not (0 <= abs_tol < math.inf):
@@ -360,23 +363,24 @@ def _check_radius(radius):
     return radius
 
 
-def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
-                    max_evals=_DEFAULT_BALL_EVALS):
+def ball4_integrate(f, radius, tol=1e-8, axis=None,
+                    max_evals=_DEFAULT_BALL_EVALS, *, _inner=0.0):
     """Integral of f over the solid 4-ball of the given radius.
 
     f is either a built-in BallIntegrand (closed-form angular averages) or a
     callable on (N, 4) point arrays that depends on k only through k.k and
     k.axis; the callable needs that axis.  The radial direction is adapted
-    with Gauss-Kronrod panels; the angular order of a callable is escalated
-    when the angular error estimate dominates the combined tolerance.  An
-    escalation whose first panel does not fit the remaining budget keeps the
-    previous attempt.  The radius must leave the ball's volume scale
-    pi^2 radius^4 finite.
+    with Gauss-Kronrod panels until the error estimate is at most
+    tol * |value|: the tolerance is relative only, so an integral that
+    vanishes converges only if it is exactly zero with zero error.  The
+    angular order of a callable is escalated when the angular error estimate
+    dominates.  An escalation whose first panel does not fit the remaining
+    budget keeps the previous attempt.  The radius must leave the ball's
+    volume scale pi^2 radius^4 finite.  _inner, for cutoff_ladder only,
+    integrates over the shell between it and the radius instead.
     """
     radius = _check_radius(radius)
-    if abs_tol is None:
-        abs_tol = 1e-14 * max(1.0, radius) ** 4
-    _check_tolerances(tol, abs_tol)
+    _check_tolerances(tol)
 
     if not isinstance(f, BallIntegrand):
         if axis is None:
@@ -392,27 +396,26 @@ def ball4_integrate(f, radius, tol=1e-8, abs_tol=None, axis=None,
     best = None
     for _ in range(_MAX_ANGULAR_ESCALATIONS + 1):
         value, rad_err, ang_err, ok, neval = _adaptive_radial(
-            f, axis, n, radius, tol, abs_tol, max_evals - neval_total)
+            f, axis, n, radius, tol, _inner, max_evals - neval_total)
         if best is not None and neval == 0:
             break  # no panel of this order fits: keep the previous attempt
         neval_total += neval
         best = QuadratureResult(value, rad_err + ang_err, ok, neval_total)
         if ok:
             return best
-        need = max(abs_tol, tol * abs(value))
-        if ang_err <= rad_err or rad_err + ang_err <= need:
+        if ang_err <= rad_err or rad_err + ang_err <= tol * abs(value):
             break
         n = 2 * n + 1
-    best.converged = best.error <= max(abs_tol, tol * abs(best.value))
+    best.converged = best.error <= tol * abs(best.value)
     return best
 
 
-def _adaptive_radial(f, axis, n, radius, tol, abs_tol, max_evals):
-    """Worst-first radial refinement of r^3 times the 3-sphere average
-    4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the average in closed
-    form; a callable is averaged along its axis by the embedded Chebyshev
-    pair of order n.  Returns (value, radial error, angular error, converged,
-    nevals)."""
+def _adaptive_radial(f, axis, n, radius, tol, inner, max_evals):
+    """Worst-first radial refinement over [inner, radius] of r^3 times the
+    3-sphere average 4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the
+    average in closed form; a callable is averaged along its axis by the
+    embedded Chebyshev pair of order n.  Returns (value, radial error,
+    angular error, converged, nevals)."""
     x, w_fine, w_coarse = chebyshev_pair(n)
     if isinstance(f, BallIntegrand):
         def sample(r):
@@ -424,7 +427,7 @@ def _adaptive_radial(f, axis, n, radius, tol, abs_tol, max_evals):
                     tuple(float(c) for c in bad * f.axis))
             return r ** 3 * (FOUR_PI * avg), None
 
-        return _refine(sample, 1, 0.0, radius, tol, abs_tol, max_evals)
+        return _refine(sample, 1, inner, radius, tol, 0.0, max_evals)
 
     a_hat = _unit(axis)
     # unit directions at the fine nodes, shared by every panel
@@ -437,7 +440,7 @@ def _adaptive_radial(f, axis, n, radius, tol, abs_tol, max_evals):
         r3 = r ** 3
         return r3 * (FOUR_PI * (vals @ w_fine)), r3 * (FOUR_PI * (vals @ w_coarse))
 
-    return _refine(sample, x.size, 0.0, radius, tol, abs_tol, max_evals)
+    return _refine(sample, x.size, inner, radius, tol, 0.0, max_evals)
 
 
 @dataclass
@@ -472,18 +475,32 @@ class SampledIntegral:
 
 
 def cutoff_ladder(f, radii, tol=1e-8, **kwargs):
-    """Evaluate the ball integral of f at each cutoff radius in turn; every
-    radius is checked before the first integral."""
+    """Ball integrals of f at increasing cutoff radii L_1 < L_2 < ...
+
+    Each shell L_{i-1} < |k| <= L_i (L_0 = 0) is integrated once, by one
+    ball4_integrate call with its own budget of max_evals, and rung i holds
+    the running sums of the shell values and errors.  The tolerance is
+    relative only: a rung is converged only if every shell up to it
+    converged and its summed error is at most tol * |value|, so a rung where
+    the sum passes near zero is not.  Every radius is checked before the
+    first integral.
+    """
     radii = [_check_radius(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("cutoff radii must be strictly increasing")
     values = []
     errors = []
     flags = []
-    for radius in radii:
-        res = ball4_integrate(f, radius, tol, **kwargs)
-        values.append(res.value)
-        errors.append(res.error)
-        flags.append(res.converged)
+    value = 0.0
+    error = 0.0
+    shells_ok = True
+    for inner, radius in zip([0.0] + radii, radii):
+        res = ball4_integrate(f, radius, tol, **kwargs, _inner=inner)
+        value += res.value
+        error += res.error
+        shells_ok = shells_ok and res.converged
+        values.append(value)
+        errors.append(error)
+        flags.append(shells_ok and error <= tol * abs(value))
     return SampledIntegral(np.array(radii), np.array(values, dtype=complex),
                            np.array(errors), np.array(flags, dtype=bool))

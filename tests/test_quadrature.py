@@ -3,8 +3,11 @@ integrals against closed-form oracles."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devfactor import quadrature
 from devfactor.quadrature import (
@@ -37,6 +40,41 @@ def shell_log_oracle(radius, ell):
     return math.pi ** 2 * (math.log((r2 + ell) / ell) + ell / (r2 + ell) - 1.0)
 
 
+def ball_oracle(kind, p, ell, radius):
+    """Ball integral of a built-in integrand in closed form at 80 digits, as
+    a float: "volume" (the constant 1), "shifted" (1 / (k.k - 2 p.k + ell)^2)
+    or "component" (k.p/|p| times that), with p the shift's magnitude.  The
+    3-sphere average integrates in u = r^2 to elementary functions; their
+    terms reach L^4 = 1e32 at L = 1e8 and cancel, hence the digits."""
+    with mp.workdps(80):
+        u_max = mp.mpf(radius) ** 2
+        if kind == "volume":
+            return float(mp.pi ** 2 * u_max ** 2 / 2)
+        p = mp.mpf(p)
+        ell = mp.mpf(ell)
+        b = ell - 2 * p * p
+        if kind == "shifted":
+            if p == 0:
+                return float(mp.pi ** 2 * (mp.log((u_max + ell) / ell)
+                                           + ell / (u_max + ell) - 1))
+            # (pi^2 / (2 p^2)) int_0^U ((u + ell) / sqrt(Q) - 1) du with
+            # Q = u^2 + 2 b u + ell^2
+            root = mp.sqrt(u_max * u_max + 2 * b * u_max + ell * ell)
+            return float(mp.pi ** 2 / (2 * p * p) * (
+                root - u_max - ell
+                + 2 * p * p * mp.log((u_max + b + root) / (2 * (ell - p * p)))))
+        # (pi^2 / (4 p^3)) int_0^U (2 sqrt(Q) - 2 (u + ell) + 4 p^2 u / sqrt(Q)) du
+        c = 4 * p * p * (ell - p * p)
+
+        def primitive(u):
+            t = u + b
+            root = mp.sqrt(t * t + c)
+            lg = mp.log(t + root)
+            return (t * root + c * lg) - (u * u + 2 * ell * u) + 4 * p * p * (root - b * lg)
+
+        return float(mp.pi ** 2 / (4 * p ** 3) * (primitive(u_max) - primitive(0)))
+
+
 # ---------------------------------------------------------------- rules
 
 
@@ -52,6 +90,48 @@ def test_kronrod_node_exactness_to_degree_22():
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         approx = float(GK_WEIGHTS @ GK_NODES ** k)
         assert approx == pytest.approx(exact, rel=1e-13, abs=1e-14)
+
+
+def test_gauss_kronrod_constants_are_correctly_rounded():
+    # Kronrod nodes: the zeros of P_7 and of the Stieltjes polynomial E_8,
+    # which is even and orthogonal to x^k P_7 for k = 1, 3, 5, 7; weights: the
+    # even moment equations of the symmetric rules, one unknown per
+    # nonnegative node
+    def moment(j):
+        return mp.mpf(2) / (j + 1) if j % 2 == 0 else mp.mpf(0)
+
+    with mp.workdps(40):
+        p7 = mp.taylor(lambda x: mp.legendre(7, x), 0, 7)
+
+        def against_p7(j):  # int x^j P_7(x) dx over [-1, 1]
+            return mp.fsum(c * moment(i + j) for i, c in enumerate(p7))
+
+        # E_8(x) = x^8 + sum_{e = 0, 2, 4, 6} a_e x^e
+        a = mp.lu_solve(
+            mp.matrix([[against_p7(k + e) for e in (0, 2, 4, 6)]
+                       for k in (1, 3, 5, 7)]),
+            mp.matrix([-against_p7(k + 8) for k in (1, 3, 5, 7)]))
+        # both are polynomials in y = x^2 (P_7 after dividing out x)
+        squares = (mp.polyroots([p7[7], p7[5], p7[3], p7[1]], extraprec=100)
+                   + mp.polyroots([1, a[3], a[2], a[1], a[0]], extraprec=100))
+        nodes = [mp.mpf(0)] + sorted(mp.sqrt(mp.re(y)) for y in squares)
+
+        def weights(xs):
+            multiplicity = [1] + [2] * (len(xs) - 1)
+            return mp.lu_solve(
+                mp.matrix([[m * x ** (2 * i) for m, x in zip(multiplicity, xs)]
+                           for i in range(len(xs))]),
+                mp.matrix([moment(2 * i) for i in range(len(xs))]))
+
+        gauss_nodes = nodes[::2]
+        assert all(abs(mp.legendre(7, x)) < mp.mpf(10) ** -35 for x in gauss_nodes)
+        exact = {"nodes": nodes, "kronrod": list(weights(nodes)),
+                 "gauss": list(weights(gauss_nodes))}
+    # the table by nonnegative node, ascending
+    table = {"nodes": GK_NODES[7:], "kronrod": GK_WEIGHTS[7:],
+             "gauss": G7_WEIGHTS[7::2]}
+    for name, values in exact.items():
+        assert [float(v) for v in values] == table[name].tolist(), name
 
 
 def test_chebyshev_pair_closed_forms():
@@ -195,7 +275,7 @@ def test_segment_samples_each_node_set_once():
     assert res.neval == 15 * len(calls)
 
 
-@pytest.mark.parametrize("width, neval", [(1e-6, 4365), (1e-8, 61395)])
+@pytest.mark.parametrize("width, neval", [(1e-6, 4335), (1e-8, 61125)])
 def test_segment_running_sums_stop_where_exact_sums_do(width, neval):
     # the first panel's error is 1e12 or more times the last ones; running
     # sums left to drift stop at other panels, and the 1e-8 one then claims
@@ -290,9 +370,20 @@ def test_ball_rotation_invariance():
 def test_ball_odd_integrand_vanishes():
     integrand = shifted_component_integrand(np.zeros(4), 1.0)
     res = ball4_integrate(integrand, 5.0, tol=1e-8)
-    # absolute floor lets an exactly-odd integrand converge to zero
+    # the closed-form axial average of an odd integrand is exactly zero, with
+    # zero error, which meets the relative tolerance
     assert res.converged
     assert abs(res.value) <= 1e-10
+
+
+def test_ball_vanishing_integral_cannot_meet_relative_tolerance():
+    # an odd callable integrates to zero up to rounding, never below
+    # tol * |value|: the budget runs out and the result says so
+    a = np.array([1.0, 0.0, 0.0, 0.0])
+    res = ball4_integrate(lambda k: (k @ a) * np.exp(-np.sum(k * k, axis=1)),
+                          3.0, tol=1e-8, axis=a, max_evals=20000)
+    assert not res.converged
+    assert abs(res.value) <= res.error < 1e-14
 
 
 def test_ball_component_matches_difference_of_building_blocks():
@@ -400,14 +491,12 @@ def test_ball_determinism():
 
 
 def test_ball_validation():
-    for radius, tol, abs_tol in (
-            (0.0, 1e-8, None), (1.0, -1e-8, None), (math.inf, 1e-8, None),
-            (math.nan, 1e-8, None), (1.0, math.nan, None),
-            (1.0, math.inf, None), (1.0, 1e-8, -1.0), (1.0, 1e-8, math.nan),
-            (6.6e76, 1e-8, None), (9e76, 1e-8, None), (1e77, 1e-8, None),
-            (1.2e77, 1e-8, None), (1e200, 1e-8, 0.0)):
+    for radius, tol in (
+            (0.0, 1e-8), (1.0, -1e-8), (math.inf, 1e-8), (math.nan, 1e-8),
+            (1.0, math.nan), (1.0, math.inf), (6.6e76, 1e-8), (9e76, 1e-8),
+            (1e77, 1e-8), (1.2e77, 1e-8), (1e200, 1e-8)):
         with pytest.raises(ValueError):
-            ball4_integrate(unit_integrand(), radius, tol=tol, abs_tol=abs_tol)
+            ball4_integrate(unit_integrand(), radius, tol=tol)
     # pi^2 L^4 stays finite up to L ~ 6.5e76, and so does the integral
     res = ball4_integrate(unit_integrand(), 6.5e76, tol=1e-10)
     assert res.converged
@@ -475,6 +564,94 @@ def test_cutoff_ladder_validation():
         with pytest.raises(ValueError, match="finite and positive"):
             cutoff_ladder(f, radii, axis=[1.0, 0.0, 0.0, 0.0])
     assert calls == []
+
+
+# p = (0.3, 0, 0, 0), ell = 1.09 (excess 1) over L = 10 .. 1e8 at tol 1e-10:
+# each rung above L ~ 1e3 used to stop on an absolute floor 1e-14 L^4 after one
+# panel and claim convergence up to 61% off
+LADDER_P = np.array([0.3, 0.0, 0.0, 0.0])
+LADDER_ELL = 1.09
+LADDER_RADII = [10.0 ** k for k in range(1, 9)]
+LADDER_KINDS = [("shifted", shifted_denominator_integrand),
+                ("component", shifted_component_integrand)]
+
+
+def _rel_errors(kind, samples):
+    assert np.all(samples.values.imag == 0.0)
+    return [abs(v - ball_oracle(kind, 0.3, LADDER_ELL, lam)) / abs(v)
+            for lam, v in zip(samples.lambdas, samples.values.real)]
+
+
+@pytest.mark.parametrize("kind, make", LADDER_KINDS)
+def test_builtin_ladder_to_1e8_is_converged_and_exact(kind, make):
+    samples = cutoff_ladder(make(LADDER_P, LADDER_ELL), LADDER_RADII, tol=1e-10)
+    assert samples.all_converged
+    assert np.all(samples.errors <= 1e-10 * np.abs(samples.values))
+    # closed-form angular averages and full-precision rules: rounding only
+    assert max(_rel_errors(kind, samples)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind, make, unconverged", [
+    ("shifted", shifted_denominator_integrand, 0),
+    # the embedded Chebyshev pair's angular estimate is pessimistic: the
+    # shells at 1e7 and 1e8 stop on it although their values are within tol
+    ("component", shifted_component_integrand, 2)])
+def test_callable_ladder_to_1e8_claims_only_what_it_meets(kind, make, unconverged):
+    f = make(LADDER_P, LADDER_ELL)
+    samples = cutoff_ladder(f.__call__, LADDER_RADII, tol=1e-10, axis=LADDER_P)
+    assert np.count_nonzero(~samples.converged) == unconverged
+    # a rung is converged only if every shell below it is
+    assert np.all(np.diff(samples.converged.astype(int)) <= 0)
+    errors = np.array(_rel_errors(kind, samples))
+    assert np.all(errors[samples.converged] <= 1e-10)
+    if kind == "shifted":
+        assert max(errors) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["volume", "shifted", "component"]),
+       p=st.floats(0.01, 1.5),
+       excess=st.floats(0.05, 5.0),
+       log_lmin=st.floats(-1.0, 2.0),
+       decades=st.integers(2, 6),
+       rungs=st.integers(2, 8),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_builtin_ladders_increase_and_meet_their_claims(
+        kind, p, excess, log_lmin, decades, rungs, tol):
+    p_vec = p * np.array([0.6, 0.0, 0.0, 0.8])
+    ell = p * p + excess
+    make = {"volume": lambda p, ell: unit_integrand(),
+            "shifted": shifted_denominator_integrand,
+            "component": shifted_component_integrand}[kind]
+    radii = np.geomspace(10.0 ** log_lmin, 10.0 ** (log_lmin + decades), rungs)
+    samples = cutoff_ladder(make(p_vec, ell), radii, tol=tol)
+    assert np.all(np.diff(samples.values.real) > 0)
+    for lam, v, ok in zip(radii, samples.values.real, samples.converged):
+        if ok:
+            exact = ball_oracle(kind, p, ell, lam)
+            assert abs(v - exact) <= tol * abs(exact), (lam, v, exact)
+
+
+def test_ladder_of_sign_changing_callable_claims_only_what_it_meets():
+    # pi^2 int_0^{L^2} u cos(u) e^{-u/50} du changes sign with L: the shells
+    # cancel, so a rung's summed error can exceed tol * |running value| even
+    # where every shell met its own tolerance
+    def f(pts):
+        u = np.sum(pts * pts, axis=1)
+        return np.cos(u) * np.exp(-u / 50.0)
+
+    radii = [1.0, 2.0, 3.0, 4.0, 6.0, 10.0]
+    samples = cutoff_ladder(f, radii, tol=1e-8, axis=[0.0, 0.0, 1.0, 0.0])
+    for lam, v, err, ok in zip(radii, samples.values.real, samples.errors,
+                               samples.converged):
+        with mp.workdps(30):
+            exact = float(mp.pi ** 2 * mp.quad(
+                lambda u: u * mp.cos(u) * mp.exp(-u / 50),
+                mp.linspace(0, lam * lam, 33)))
+        if ok:
+            assert err <= 1e-8 * abs(v)
+            assert abs(v - exact) <= 1e-8 * abs(exact)
+    assert samples.converged.tolist() == [True] * 5 + [False]
 
 
 def test_sampled_integral_validation():
