@@ -72,7 +72,7 @@ def reduce_axial(kind, p, ell, r, x=None, w_fine=None, w_coarse=None):
             # pi r B / (D (A + D)^2) = 8 pi p (r / s^2)^2 / D, in factors that
             # cannot overflow where D (A + D)^2 ~ r^6 would
             q = r / s2
-            vals = (8.0 * math.pi * p) * (q / root_low) * (q / root_high)
+            vals = (8.0 * math.pi) * (q / root_low) * (q / root_high) * p
     else:
         raise ValueError(f"unknown integrand kind {kind}")
     finite = np.isfinite(vals)

@@ -15,8 +15,9 @@ elementary 3-sphere averages, which ``_kernels.reduce_axial`` evaluates in
 closed form: one evaluation per radius and no angular error.  A callable must
 name its symmetry axis; it is averaged over the axial cosine by an embedded
 pair of Gauss-Chebyshev rules, whose coarse/fine difference feeds a separate
-angular error estimate.  When the angular error dominates, the angular order
-is escalated and the radial adaptation rerun.
+angular error estimate.  The angular order belongs to each radial panel: the
+same worst-first loop that bisects a panel whose radial error dominates
+doubles the order of one whose angular error does.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ _DEFAULT_SEGMENT_EVALS = 200_000
 _DEFAULT_BALL_EVALS = 1_000_000
 
 _AXIAL_ORDER = 48
-_MAX_ANGULAR_ESCALATIONS = 2
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -152,7 +152,7 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
     _check_tolerances(tol, abs_tol)
     value, err, _, converged, neval = _refine(
-        lambda x: (_eval_1d(f, x), None), 1, a, b, tol, abs_tol, max_evals)
+        lambda x, _: (_eval_1d(f, x), None), 1, a, b, tol, abs_tol, max_evals)
     return QuadratureResult(value, err, converged, neval)
 
 
@@ -167,75 +167,87 @@ def _check_tolerances(tol, abs_tol=0.0):
 def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     """Worst-first adaptive Gauss-Kronrod refinement of [a, b] (QUADPACK QAG).
 
-    sample(x) maps a panel's 15 Kronrod nodes to (values, coarse) at a cost of
-    `points` evaluations per node; coarse is None for exact values, else a
-    cruder estimate whose weighted distance from them is the angular error.
-    The panel with the largest |Kronrod - Gauss| is bisected until the summed
-    errors meet max(abs_tol, tol * |value|), the angular error dominates
-    (unconverged; the caller may sample more finely), or the next bisection
-    would exceed max_evals.  Panels too narrow to bisect in floating point are
-    frozen as sampled.  The stopping test reads running sums, updated per
-    bisection.  Returns (value, error, angular error, converged, nevals),
-    summed with compensation over the panels sorted by position; value is
-    complex only if some sample was.  A budget below one panel returns
-    (0.0, inf, inf, False, 0).
+    sample(x, points) maps a panel's 15 Kronrod nodes to (values, coarse) at
+    a cost of `points` evaluations per node; coarse is None for exact values,
+    else a cruder estimate whose weighted distance from them is the angular
+    error.  Each panel keeps its own points, starting from the given one.
+    The panel with the largest |Kronrod - Gauss| plus angular error is
+    refined: resampled at 2 points + 1 per node when its angular error is the
+    larger, else bisected.  A resample whose angular error did not fall is
+    frozen, as is a panel too narrow to bisect in floating point: the finer
+    step no longer helps.  Refinement ends when the summed errors meet
+    max(abs_tol, tol * |value|) (converged), or unconverged when no panel is
+    left or the next step would exceed max_evals.  The stopping test reads a
+    running sum, updated per step.  Returns (value, error, angular error,
+    converged, nevals), summed with compensation over the panels sorted by
+    position; value is complex only if some sample was.  A budget below one
+    panel returns (0.0, inf, inf, False, 0).
     """
-    per_panel = GK_NODES.size * points
-    if per_panel > max_evals:
+    nodes = GK_NODES.size
+    if nodes * points > max_evals:
         return 0.0, math.inf, math.inf, False, 0
     complex_seen = False
 
-    def panel(lo, hi):
+    def panel(lo, hi, points):
         nonlocal complex_seen
         h = 0.5 * (hi - lo)
-        fine, coarse = sample(0.5 * (lo + hi) + h * GK_NODES)
+        fine, coarse = sample(0.5 * (lo + hi) + h * GK_NODES, points)
         if np.iscomplexobj(fine):
             complex_seen = True
         k = h * np.dot(GK_WEIGHTS, fine)
         ang = 0.0 if coarse is None else float(
             h * np.dot(GK_WEIGHTS, np.abs(fine - coarse)))
-        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, fine)), ang)
+        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, fine)), ang, points)
 
-    neval = per_panel
+    neval = nodes * points
     counter = 0
-    first = panel(a, b)
-    heap = [(-first[3], counter, first)]
+    first = panel(a, b, points)
+    heap = [(-(first[3] + first[4]), counter, first)]
     frozen = []
-    total, err, ang = first[2:]
-    synced = err + ang
+    total = first[2]
+    err = first[3] + first[4]
+    synced = err
     converged = True
     while True:
-        if err + ang < synced / 1024:
+        if err < synced / 1024:
             # running sums drift by rounding relative to the larger sums they
             # came from: re-add the panels once the errors shrink
             panels = [p for _, _, p in heap] + frozen
             total = sum(p[2] for p in panels)
-            err = math.fsum(p[3] for p in panels)
-            ang = math.fsum(p[4] for p in panels)
-            synced = err + ang
-        need = max(abs_tol, tol * abs(total))
-        if err + ang <= need:
+            err = math.fsum(p[3] + p[4] for p in panels)
+            synced = err
+        if err <= max(abs_tol, tol * abs(total)):
             break
-        if ((err <= 0.25 * need and ang > 0.75 * need) or not heap
-                or neval + 2 * per_panel > max_evals):
+        if not heap:
             converged = False
             break
-        old = heapq.heappop(heap)[2]
-        lo, hi = old[:2]
+        old = heap[0][2]
+        lo, hi, _, rad, ang, pts = old
+        resample = ang > rad
+        cost = nodes * (2 * pts + 1 if resample else 2 * pts)
+        if neval + cost > max_evals:
+            converged = False
+            break
+        heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+        if resample:
+            pieces = [panel(lo, hi, 2 * pts + 1)]
+        elif lo < mid < hi:
+            pieces = [panel(lo, mid, pts), panel(mid, hi, pts)]
+        else:
             frozen.append(old)
             continue
         total -= old[2]
-        err -= old[3]
-        ang -= old[4]
-        for piece in (panel(lo, mid), panel(mid, hi)):
-            counter += 1
-            heapq.heappush(heap, (-piece[3], counter, piece))
+        err -= rad + ang
+        for piece in pieces:
+            if resample and piece[4] >= ang:
+                frozen.append(piece)
+            else:
+                counter += 1
+                heapq.heappush(heap, (-(piece[3] + piece[4]), counter, piece))
             total += piece[2]
-            err += piece[3]
-            ang += piece[4]
-        neval += 2 * per_panel
+            err += piece[3] + piece[4]
+        neval += cost
 
     panels = sorted([p for _, _, p in heap] + frozen, key=lambda p: p[0])
     value = complex(math.fsum(p[2].real for p in panels),
@@ -372,12 +384,12 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
     k.axis; the callable needs that axis.  The radial direction is adapted
     with Gauss-Kronrod panels until the error estimate is at most
     tol * |value|: the tolerance is relative only, so an integral that
-    vanishes converges only if it is exactly zero with zero error.  The
-    angular order of a callable is escalated when the angular error estimate
-    dominates.  An escalation whose first panel does not fit the remaining
-    budget keeps the previous attempt.  The radius must leave the ball's
-    volume scale pi^2 radius^4 finite.  _inner, for cutoff_ladder only,
-    integrates over the shell between it and the radius instead.
+    vanishes converges only if it is exactly zero with zero error.  A
+    callable's panel doubles its own angular order where the angular error
+    estimate exceeds the radial one, in the same worst-first loop and within
+    the same budget.  The radius must leave the ball's volume scale
+    pi^2 radius^4 finite.  _inner, for cutoff_ladder only, integrates over
+    the shell between it and the radius instead.
     """
     radius = _check_radius(radius)
     _check_tolerances(tol)
@@ -391,34 +403,22 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
         # on that rounding, so keep both steps
         axis = _unit(axis)
 
-    n = _AXIAL_ORDER
-    neval_total = 0
-    best = None
-    for _ in range(_MAX_ANGULAR_ESCALATIONS + 1):
-        value, rad_err, ang_err, ok, neval = _adaptive_radial(
-            f, axis, n, radius, tol, _inner, max_evals - neval_total)
-        if best is not None and neval == 0:
-            break  # no panel of this order fits: keep the previous attempt
-        neval_total += neval
-        best = QuadratureResult(value, rad_err + ang_err, ok, neval_total)
-        if ok:
-            return best
-        if ang_err <= rad_err or rad_err + ang_err <= tol * abs(value):
-            break
-        n = 2 * n + 1
-    best.converged = best.error <= tol * abs(best.value)
-    return best
+    value, rad_err, ang_err, ok, neval = _adaptive_radial(
+        f, axis, radius, tol, _inner, max_evals)
+    return QuadratureResult(value, rad_err + ang_err, ok, neval)
 
 
-def _adaptive_radial(f, axis, n, radius, tol, inner, max_evals):
+def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
     """Worst-first radial refinement over [inner, radius] of r^3 times the
     3-sphere average 4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the
     average in closed form; a callable is averaged along its axis by the
-    embedded Chebyshev pair of order n.  Returns (value, radial error,
-    angular error, converged, nevals)."""
-    x, w_fine, w_coarse = chebyshev_pair(n)
+    embedded Chebyshev pair, from order _AXIAL_ORDER at 2 n + 1 points per
+    radius up to whatever order each panel's refinement reaches.  Returns
+    (value, radial error, angular error, converged, nevals)."""
     if isinstance(f, BallIntegrand):
-        def sample(r):
+        x = chebyshev_pair(_AXIAL_ORDER)[0]
+
+        def sample(r, points):
             avg, bad = _kernels.reduce_axial(f.kind, f.p_mag, f.ell, r, x)
             if bad is not None:
                 # the denominator is smallest on the axis of that sphere
@@ -430,17 +430,23 @@ def _adaptive_radial(f, axis, n, radius, tol, inner, max_evals):
         return _refine(sample, 1, inner, radius, tol, 0.0, max_evals)
 
     a_hat = _unit(axis)
-    # unit directions at the fine nodes, shared by every panel
-    s = np.sqrt(1.0 - x ** 2)
-    dirs = x[:, None] * a_hat + s[:, None] * _orthonormal_to(a_hat)
+    rules = {}
 
-    def sample(r):
+    def sample(r, points):
+        if points not in rules:
+            # unit directions at the fine nodes, shared by every panel of an
+            # order (a dict: a cache decorator per call costs more to build)
+            x, w_fine, w_coarse = chebyshev_pair((points - 1) // 2)
+            s = np.sqrt(1.0 - x ** 2)
+            dirs = x[:, None] * a_hat + s[:, None] * _orthonormal_to(a_hat)
+            rules[points] = dirs, w_fine, w_coarse
+        dirs, w_fine, w_coarse = rules[points]
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
-        vals = _eval_points(f, pts).reshape(r.size, x.size)
+        vals = _eval_points(f, pts).reshape(r.size, points)
         r3 = r ** 3
         return r3 * (FOUR_PI * (vals @ w_fine)), r3 * (FOUR_PI * (vals @ w_coarse))
 
-    return _refine(sample, x.size, inner, radius, tol, 0.0, max_evals)
+    return _refine(sample, 2 * _AXIAL_ORDER + 1, inner, radius, tol, 0.0, max_evals)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import devfactor._kernels as kernels
@@ -109,11 +109,13 @@ def test_reduce_axial_matches_mpmath(kind, p, excess):
     _assert_matches_mpmath(kind, p, ell, radii)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(KINDS),
        p=st.floats(0.0, 1.5),
        log_excess=st.floats(-8.0, math.log10(5.0)),
        log_r=st.floats(-3.0, 8.0))
+# a subnormal |p| keeps its relative accuracy only if it is rounded once
+@example(kind=KIND_AXIAL_COMPONENT, p=5e-324, log_excess=-2.0, log_r=0.0)
 def test_reduce_axial_property_matches_mpmath(kind, p, log_excess, log_r):
     ell = p * p + 10.0 ** log_excess
     _assert_matches_mpmath(kind, p, ell, [10.0 ** log_r])

@@ -413,29 +413,69 @@ def _peaked_angle(c=1.004):
     return f, axis, radial * angular
 
 
+def _spy_orders(monkeypatch):
+    """Record the angular order of every Chebyshev pair a ball integral asks for."""
+    orders = []
+    pair = quadrature.chebyshev_pair
+
+    def spy(n):
+        orders.append(n)
+        return pair(n)
+
+    monkeypatch.setattr(quadrature, "chebyshev_pair", spy)
+    return orders
+
+
 def test_ball_angular_escalation_resolves_peaked_angle(monkeypatch):
     f, axis, exact = _peaked_angle()
+    orders = _spy_orders(monkeypatch)
     res = ball4_integrate(f, 5.0, tol=1e-8, axis=axis)
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-7)
-
-    monkeypatch.setattr(quadrature, "_MAX_ANGULAR_ESCALATIONS", 0)
-    stuck = ball4_integrate(f, 5.0, tol=1e-8, axis=axis)
-    assert not stuck.converged
-    assert stuck.error > res.error
+    assert orders[:2] == [48, 97]  # escalated at least once
 
 
-@pytest.mark.parametrize("max_evals, neval", [(20000, 18915), (40000, 39390),
-                                              (60000, 56940)])
-def test_ball_escalation_keeps_last_funded_attempt(max_evals, neval):
-    # the next angular order's first panel does not fit what is left of the
-    # budget: the attempt already made is returned, not an empty one
+def test_ball_peaked_callable_near_its_pole_converges():
+    # closer to the pole the panels need more angular doublings than a fixed
+    # limit would allow; only the budget may stop them
+    f, axis, exact = _peaked_angle(1.0005)
+    res = ball4_integrate(f, 5.0, tol=1e-8, axis=axis)
+    assert res.converged
+    assert res.value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_evals, neval", [(20000, 16065), (40000, 39510),
+                                              (60000, 57105)])
+def test_ball_budget_stops_callable_refinement_honestly(max_evals, neval):
+    # bisections and angular doublings draw on one budget: the loop stops
+    # before the step that would overrun it, with an error that still covers
+    # the value
     f, axis, exact = _peaked_angle()
     res = ball4_integrate(f, 5.0, tol=1e-12, axis=axis, max_evals=max_evals)
-    assert not res.converged and res.neval == neval
+    assert not res.converged and res.neval == neval <= max_evals
     assert isinstance(res.value, float)
     assert abs(res.value - exact) <= res.error < math.inf
     assert res.value == pytest.approx(exact, rel=1e-8)
+
+
+def test_ball_angular_step_spends_budget_honestly():
+    # a step in the axial cosine: each angular doubling lowers the angular
+    # error only slowly, so refinement goes on until the budget runs out,
+    # and the error still covers the value
+    axis = np.array([0.0, 0.0, 1.0, 0.0])
+
+    def f(pts):
+        r = np.sqrt(np.sum(pts * pts, axis=1))
+        x = pts @ axis / np.maximum(r, 1e-300)
+        return (x > 0.3) * np.exp(-r)
+
+    radial = 6.0 - math.exp(-40.0) * (40.0 ** 3 + 3 * 40.0 ** 2 + 6 * 40.0 + 6)
+    # 4 pi int_{0.3}^1 sqrt(1 - x^2) dx
+    angular = 2.0 * math.pi * (0.5 * math.pi - 0.3 * math.sqrt(0.91)
+                               - math.asin(0.3))
+    res = ball4_integrate(f, 40.0, tol=1e-8, axis=axis)
+    assert not res.converged and res.neval > 500_000
+    assert abs(res.value - radial * angular) <= res.error
 
 
 def test_ball_callable_budget_below_one_panel_is_real():
@@ -450,14 +490,7 @@ def test_ball_callable_budget_below_one_panel_is_real():
 def test_ball_complex_callable_stays_complex_through_escalation(
         monkeypatch, max_evals):
     f, axis, exact = _peaked_angle()
-    orders = []
-    radial = quadrature._adaptive_radial
-
-    def spy(g, ax, n, *args):
-        orders.append(n)
-        return radial(g, ax, n, *args)
-
-    monkeypatch.setattr(quadrature, "_adaptive_radial", spy)
+    orders = _spy_orders(monkeypatch)
     res = ball4_integrate(lambda pts: (1.0 + 1.0j) * f(pts), 5.0, tol=1e-12,
                           axis=axis, max_evals=max_evals)
     assert orders[:2] == [48, 97]  # escalated at least once
@@ -593,8 +626,8 @@ def test_builtin_ladder_to_1e8_is_converged_and_exact(kind, make):
 
 @pytest.mark.parametrize("kind, make, unconverged", [
     ("shifted", shifted_denominator_integrand, 0),
-    # the embedded Chebyshev pair's angular estimate is pessimistic: the
-    # shells at 1e7 and 1e8 stop on it although their values are within tol
+    # the shells [1e6, 1e7] and [1e7, 1e8] stop on an angular rounding floor
+    # of about eps * r / |p| (see the next test)
     ("component", shifted_component_integrand, 2)])
 def test_callable_ladder_to_1e8_claims_only_what_it_meets(kind, make, unconverged):
     f = make(LADDER_P, LADDER_ELL)
@@ -606,6 +639,19 @@ def test_callable_ladder_to_1e8_claims_only_what_it_meets(kind, make, unconverge
     assert np.all(errors[samples.converged] <= 1e-10)
     if kind == "shifted":
         assert max(errors) <= 1e-15
+
+
+@pytest.mark.parametrize("inner, radius", [(1e6, 1e7), (1e7, 1e8)])
+def test_ball_angular_rounding_floor_stops_early(inner, radius):
+    # the component's leading x sqrt(1 - x^2) term is odd and cancels, so at
+    # these radii |fine - coarse| sits on a rounding floor of about
+    # eps * r / |p| that no angular order lowers: panels whose doubling does
+    # not reduce it are frozen instead of spending the whole budget
+    f = shifted_component_integrand(LADDER_P, LADDER_ELL)
+    res = ball4_integrate(f.__call__, radius, tol=1e-10, axis=LADDER_P,
+                          _inner=inner)
+    assert not res.converged
+    assert res.neval < 150_000
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
