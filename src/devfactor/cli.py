@@ -304,8 +304,8 @@ def cmd_regularize(args):
     lambdas = args.lambdas
     if not lambdas:
         raise ValueError("need at least one regulator value")
-    if any(l <= 0 for l in lambdas):
-        raise ValueError("regulator values must be positive")
+    if not all(0 < l < math.inf for l in lambdas):
+        raise ValueError("regulator values must be positive and finite")
     factor = series_factor(series)
     evaluations = []
     for lam in lambdas:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import CONSTANT, INFRARED, LOG, AsymptoticExpansion
-from .fitting import fit
+from .expansions import CONSTANT, INFRARED, LOG
+from .fitting import detect_signature
 # segment_integrate is not called here; the binding stays because the
 # benchmark's tracer test (perfbench/test_perfbench.py) expects
 # devfactor.coulomb.segment_integrate.  Drop it with that expectation.
@@ -263,10 +263,10 @@ def coulomb_divergence_check(z, k, t_values, tau_values):
 
     t_values are positive outgoing times, tau_values negative incoming ones,
     with |t tau| strictly increasing.  The sampled first-order phase
-    i (z/k) (ln(2kt) + ln(2k|tau|)) is fit over the product regulator; the
-    returned infrared expansion keeps the terms that survive (coefficient
-    i z / k on the logarithm, i (z/k) ln(4 k^2) constant), and is empty for
-    z = 0.
+    i (z/k) (ln(2kt) + ln(2k|tau|)) is fit over the product regulator, and
+    detect_signature keeps the terms above 1e-10 of the largest one
+    (coefficient i z / k on the logarithm, i (z/k) ln(4 k^2) constant), at
+    any scale of z / k; the infrared expansion is empty for z = 0.
     """
     if not (k > 0):
         raise ValueError(f"momentum must be positive, got {k}")
@@ -286,10 +286,5 @@ def coulomb_divergence_check(z, k, t_values, tau_values):
     samples = SampledIntegral(products, 1j * phases,
                               np.zeros(products.size),
                               np.ones(products.size, dtype=bool))
-    result = fit(samples, basis=(LOG, CONSTANT))
-    top = max(abs(c) for c in result.coefficients.values())
-    terms = {}
-    for b, c in result.coefficients.items():
-        if abs(c) > 1e-10 * max(1.0, top):
-            terms[b] = c
-    return AsymptoticExpansion(INFRARED, terms, dim=1)
+    return detect_signature(samples, threshold=1e-10, basis=(LOG, CONSTANT),
+                            regulator=INFRARED)

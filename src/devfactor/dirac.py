@@ -9,6 +9,7 @@ self-energy and vertex computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,17 @@ def gamma_contraction(x):
 
 
 def hamiltonian(q, m):
-    """Free Dirac Hamiltonian H(q) = m*beta + q.alpha for 3-momentum q and mass m."""
+    """Free Dirac Hamiltonian H(q) = m*beta + q.alpha for a 3-momentum q and a
+    mass m >= 0 whose squared energy m^2 + |q|^2 is a finite float."""
     q = np.asarray(q, dtype=float)
     if q.shape != (3,):
         raise ValueError(f"expected a 3-momentum, got shape {q.shape}")
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
+    if not 0 <= m < math.inf:
+        raise ValueError(f"mass must be non-negative and finite, got {m}")
+    energy = math.hypot(m, *q)
+    if not energy * energy < math.inf:
+        raise ValueError(
+            f"momentum must be finite with a finite m^2 + |q|^2, got {q.tolist()}")
     h = m * BETA
     for qi, a in zip(q, ALPHA):
         h = h + qi * a

@@ -10,6 +10,13 @@ coefficient is i times a Hermitian matrix (purely imaginary in the scalar
 case); the factor is then exp(i * sum_b H_b * b(Lambda)) and multiplying by
 its inverse leaves a finite remainder.
 
+A deviation factor is a thin layer over one expansion, its exponent: the
+factor adds a reference scale for the logarithms, the Hermitian check on the
+exponent coefficients and the unitary exponential.  Every coefficient, of an
+expansion or of a factor's exponent, is checked once in _coerce_coefficient
+(square and finite), so a NaN or infinite coefficient is refused before any
+admissibility check can pass it.
+
 Two regulator kinds are tracked: "ultraviolet" (Lambda is a momentum cutoff,
 the radius of a 4-ball) and "infrared" (Lambda is a product |t*tau| of time
 parameters).  The algebra is identical; the kind is bookkeeping so that
@@ -82,10 +89,10 @@ class BasisFunction:
         return self.power == 0 and self.logpower == 0
 
     def value(self, lam, reference_scale=1.0):
-        """Evaluate at regulator value lam > 0.  The reference scale rescales
-        the argument of the logarithm only, never the power."""
-        if lam <= 0:
-            raise ValueError(f"regulator value must be positive, got {lam}")
+        """Evaluate at a finite regulator value lam > 0.  The reference scale
+        rescales the argument of the logarithm only, never the power."""
+        if not 0 < lam < math.inf:
+            raise ValueError(f"regulator value must be positive and finite, got {lam}")
         if reference_scale <= 0:
             raise ValueError(f"reference scale must be positive, got {reference_scale}")
         out = float(lam) ** float(self.power)
@@ -118,6 +125,8 @@ def _coerce_coefficient(c):
     arr = np.atleast_2d(np.asarray(c, dtype=complex))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"coefficient must be scalar or square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"coefficient entries must be finite, got {arr.tolist()}")
     return arr
 
 
@@ -142,7 +151,7 @@ class AsymptoticExpansion:
             elif arr.shape[0] != dim:
                 raise ValueError(
                     f"coefficient for {b} has dimension {arr.shape[0]}, expected {dim}")
-            if np.any(arr != 0):
+            if arr.any():
                 self.terms[b] = arr.copy()
         self.dim = 1 if dim is None else int(dim)
 
@@ -211,7 +220,6 @@ class AsymptoticExpansion:
 
 
 def _term_to_json(b, c):
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
     return {
         "power": str(b.power),
         "logpower": b.logpower,
@@ -222,8 +230,7 @@ def _term_to_json(b, c):
 
 def _term_from_json(t):
     b = BasisFunction(Fraction(t["power"]), t["logpower"])
-    c = np.asarray(t["re"], dtype=float) + 1j * np.asarray(t["im"], dtype=float)
-    return b, _coerce_coefficient(c)
+    return b, np.asarray(t["re"], dtype=float) + 1j * np.asarray(t["im"], dtype=float)
 
 
 def _record_from_json(data, kind, name):
@@ -320,39 +327,36 @@ def check_admissible(divergent, tol=ADMISSIBILITY_TOL):
     return Admissibility(passed=not violations, violations=violations, tol=tol)
 
 
+def unitary_exp(h):
+    """exp(i h) of a Hermitian matrix h, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
 class DeviationFactor:
     """Unimodular/unitary function of the regulator, exp(i sum_b H_b b(Lambda)).
 
-    Exponent coefficients H_b are Hermitian (real numbers in the scalar case),
-    so every evaluation is exactly unitary up to rounding.  The reference scale
-    rescales logarithm arguments: with exponent {ln: H}, evaluation gives
+    The exponent is an AsymptoticExpansion whose coefficients H_b are
+    Hermitian (real numbers in the scalar case), so every evaluation is
+    exactly unitary up to rounding.  The reference scale rescales logarithm
+    arguments: with exponent {ln: H}, evaluation gives
     exp(i H ln(Lambda / reference_scale)).
     """
 
     def __init__(self, regulator, exponent=None, reference_scale=1.0, dim=None):
-        if regulator not in REGULATOR_KINDS:
-            raise ValueError(f"unknown regulator kind {regulator!r}")
-        if reference_scale <= 0:
-            raise ValueError(f"reference scale must be positive, got {reference_scale}")
-        self.regulator = regulator
+        if not 0 < reference_scale < math.inf:
+            raise ValueError(
+                f"reference scale must be positive and finite, got {reference_scale}")
         self.reference_scale = float(reference_scale)
-        self.exponent = {}
-        for b, h in (exponent or {}).items():
-            arr = _coerce_coefficient(h)
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise ValueError(
-                    f"exponent for {b} has dimension {arr.shape[0]}, expected {dim}")
-            defect = np.linalg.norm(arr - arr.conj().T)
-            if defect > 1e-12 * max(np.linalg.norm(arr), 1e-300):
+        self.exponent = AsymptoticExpansion(regulator, exponent, dim)
+        self.regulator, self.dim = self.exponent.regulator, self.exponent.dim
+        for b, h in self.exponent.terms.items():
+            defect = np.linalg.norm(h - h.conj().T)
+            if defect > 1e-12 * max(np.linalg.norm(h), 1e-300):
                 raise ValueError(
                     f"exponent coefficient of {b} is not Hermitian "
                     f"(defect {defect:.3e})")
-            arr = (arr + arr.conj().T) / 2  # exact Hermitian symmetrization
-            if np.any(arr != 0):
-                self.exponent[b] = arr
-        self.dim = 1 if dim is None else int(dim)
+            self.exponent.terms[b] = (h + h.conj().T) / 2  # exact symmetrization
 
     @property
     def is_scalar(self):
@@ -362,15 +366,12 @@ class DeviationFactor:
     def class_a(self):
         """True when no exponent basis function carries a positive power of the
         regulator (polynomial-in-logarithm exponents only)."""
-        return all(b.power <= 0 for b in self.exponent)
-
-    def sorted_terms(self):
-        return sorted(self.exponent.items(), key=lambda kv: kv[0]._sort_key())
+        return all(b.power <= 0 for b in self.exponent.terms)
 
     def exponent_value(self, lam):
         """Hermitian matrix sum_b H_b b(Lambda) (a real number for scalars)."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for b, h in self.exponent.items():
+        for b, h in self.exponent.terms.items():
             out += h * b.value(lam, self.reference_scale)
         return out
 
@@ -380,8 +381,7 @@ class DeviationFactor:
         theta = self.exponent_value(lam)
         if self.is_scalar:
             return cmath.exp(1j * complex(theta[0, 0]))
-        w, v = np.linalg.eigh(theta)
-        return (v * np.exp(1j * w)) @ v.conj().T
+        return unitary_exp(theta)
 
     def drift(self, lam, step=1.0):
         """Shift response ||U(lam + step) U(lam)^dag - I|| used as a
@@ -395,14 +395,9 @@ class DeviationFactor:
         return float(np.linalg.norm(u2 @ u1.conj().T - np.eye(self.dim)))
 
     def to_json_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "deviation_factor",
-            "regulator": self.regulator,
-            "dim": self.dim,
-            "reference_scale": self.reference_scale,
-            "terms": [_term_to_json(b, h) for b, h in self.sorted_terms()],
-        }
+        """The exponent's record, marked as a factor, with the reference scale."""
+        return {**self.exponent.to_json_dict(), "kind": "deviation_factor",
+                "reference_scale": self.reference_scale}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -437,10 +432,6 @@ def deviation_factor(divergent, reference_scale=1.0, tol=ADMISSIBILITY_TOL):
                            reference_scale=reference_scale, dim=divergent.dim)
 
 
-def evaluate_factor(factor, lam):
-    return factor.evaluate(lam)
-
-
 def class_a(factor):
     """True when the factor's exponent contains no positive regulator power."""
     return factor.class_a
@@ -452,6 +443,8 @@ class CouplingSeries:
 
     def __init__(self, coupling, coefficients, regulator=None):
         self.coupling = float(coupling)
+        if not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {coupling}")
         coeffs = []
         dim = None
         for a in coefficients:

@@ -9,6 +9,8 @@ remainder), and the vertex correction (simultaneous ultraviolet and infrared
 logarithms proportional to one gamma matrix, which is absorbable for the three
 anti-Hermitian matrices and obstructed for the Hermitian fourth).
 
+Each expansion is a closed form, so its pieces are read off, never fitted:
+the divergent part gives the factor and the constant term the regular part.
 Closed-form large-cutoff asymptotes of the two standard shifted-denominator
 integrals are provided for cross-checking against direct ball quadrature.
 """
@@ -31,10 +33,10 @@ from .expansions import (
     BasisFunction,
     check_admissible,
     deviation_factor,
+    unitary_exp,
 )
 from .fitting import fit
 from .quadrature import (
-    SampledIntegral,
     cutoff_ladder,
     segment_integrate,
     shifted_component_integrand,
@@ -324,19 +326,8 @@ def photon_self_energy(p_sq, m, e):
     ratio = p_sq / (m * m)
 
     cross_checks = {}
-    if p_sq > 0:
-        # The closed asymptote has no quadratic cutoff growth; the fitter
-        # applied to its own ladder must agree.
-        radii = np.geomspace(100.0, 10000.0, 12)
-        values = np.array([expansion.value_at(r) for r in radii])
-        samples = SampledIntegral(radii, values, np.zeros(radii.size),
-                                  np.ones(radii.size, dtype=bool))
-        res = fit(samples, (BasisFunction(2, 0), BasisFunction(1, 0),
-                            LOG, CONSTANT))
-        scale = max(abs(c) for c in res.coefficients.values())
-        cross_checks["quadratic_cutoff_term"] = abs(res.coefficient(2, 0)) / scale
-        if ratio < 0.1:
-            cross_checks["small_ratio_sigma"] = abs(sigma - ratio / 30.0) / (ratio / 30.0)
+    if 0 < ratio < 0.1:
+        cross_checks["small_ratio_sigma"] = abs(sigma - ratio / 30.0) / (ratio / 30.0)
 
     return ExampleReport(
         example_id=PHOTON_EXAMPLE_ID,
@@ -355,13 +346,6 @@ def photon_self_energy(p_sq, m, e):
     )
 
 
-def _hermitian_exp(c_matrix):
-    """exp of an anti-Hermitian matrix via the spectral form of -i times it."""
-    h = np.asarray(c_matrix, dtype=complex) / 1j
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def vertex_part(m, e, photon_mass, cutoff, mu):
     """Third-order vertex example: simultaneous ultraviolet and infrared
     logarithms, both proportional to gamma_mu.
@@ -372,16 +356,17 @@ def vertex_part(m, e, photon_mass, cutoff, mu):
     1..3 gamma_mu is anti-Hermitian and both divergences are absorbable; their
     commuting factors multiply to the unitary combined factor.  For mu = 4 the
     coefficient is Hermitian, the admissibility check fails, and no factor is
-    built.  The regular part is a fitted order-one placeholder, not a closed
-    form.
+    built.  The regular part is the ultraviolet expansion's constant term,
+    the order-one remainder of the truncated asymptote; the finite vertex
+    correction itself is not derived here.
     """
     if m <= 0:
         raise ValueError(f"mass must be positive, got {m}")
     if not (0 < photon_mass <= m):
         raise ValueError(
             f"photon mass must lie in (0, m], got {photon_mass} with m={m}")
-    if cutoff <= m:
-        raise ValueError(f"cutoff must exceed the mass, got {cutoff}")
+    if not m < cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and exceed the mass, got {cutoff}")
     if mu not in (1, 2, 3, 4):
         raise ValueError(f"vertex index must be 1..4, got {mu}")
     g = GAMMA[mu - 1]
@@ -416,24 +401,12 @@ def vertex_part(m, e, photon_mass, cutoff, mu):
         combined = u_uv @ u_ir
         cross_checks["combined_factor_unitarity"] = float(np.linalg.norm(
             combined.conj().T @ combined - I4))
-        # One-shot exponential of the full displayed exponent.
+        # One-shot exponential exp(C) = exp(i C/i) of the full displayed exponent C.
         full_exponent = -c * g * (-0.5 * math.log(cutoff / m)
                                   + math.log(m / photon_mass))
-        u_full = _hermitian_exp(full_exponent)
+        u_full = unitary_exp(full_exponent / 1j)
         cross_checks["uv_ir_factorization"] = float(
             np.linalg.norm(combined - u_full))
-
-    # Order-one placeholder: fit the scalar multiplier of the known truncated
-    # asymptote and keep the fitted constant.  Not a closed-form result.
-    radii = np.geomspace(10.0 * m, 1000.0 * m, 9)
-    gnorm_sq = float(np.real(np.trace(g.conj().T @ g)))
-    scalar_vals = np.array([
-        complex(np.trace(g.conj().T @ uv_expansion.value_at(r)) / gnorm_sq)
-        for r in radii])
-    samples = SampledIntegral(radii, scalar_vals, np.zeros(radii.size),
-                              np.ones(radii.size, dtype=bool))
-    res = fit(samples, (LOG, CONSTANT, BasisFunction(-1, 0)))
-    regular = res.coefficient(0, 0) * g
 
     return ExampleReport(
         example_id=VERTEX_EXAMPLE_ID,
@@ -445,9 +418,10 @@ def vertex_part(m, e, photon_mass, cutoff, mu):
         ir_expansion=ir_expansion,
         factor=factor,
         ir_factor=ir_factor,
-        regular_part=regular,
-        regular_part_note="fitted order-one placeholder from the truncated "
-                          "asymptote; no closed form is reproduced here",
+        regular_part=uv_expansion.finite_part(),
+        regular_part_note="constant term of the truncated ultraviolet "
+                          "asymptote; the finite vertex correction is not "
+                          "derived here",
         admissibility=admissibility,
         cross_checks=cross_checks,
         notes={"uv_log_weight": c / 2.0, "ir_log_weight": -c,

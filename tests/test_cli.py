@@ -284,6 +284,42 @@ def test_regularize_rejects_malformed_coefficient_record(tmp_path, capsys,
     assert not (tmp_path / "regularize.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["regularize", "--lambdas", "nan"],
+    ["regularize", "--lambdas", "inf"],
+    ["regularize", "--lambdas", "nan", "--infile", "empty_series.json"],
+    ["regularize", "--lambdas", "100", "--infile", "nan_coefficient.json"],
+    ["regularize", "--lambdas", "100", "--infile", "nan_coupling.json"],
+    ["example", "--id", "electron", "--e", "nan"],
+    ["example", "--id", "vertex", "--mu", "4", "--cutoff", "nan"],
+    ["spectral", "--q", "nan,0,0", "--m", "1"],
+    ["spectral", "--q", "1,0,0", "--m", "nan"],
+    ["spectral", "--q", "1e200,0,0", "--m", "1"],
+], ids=["lambda-nan", "lambda-inf", "empty-series-lambda-nan",
+        "series-nan-coefficient", "series-nan-coupling", "electron-e-nan",
+        "vertex-cutoff-nan", "spectral-q-nan", "spectral-m-nan",
+        "spectral-energy-overflow"])
+def test_nonfinite_numeric_input_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # a non-finite number is a domain error: no NaN/Infinity in any JSON
+    # file, and no RuntimeWarning on the way (an error in this suite)
+    monkeypatch.chdir(tmp_path)
+    write_series_file(tmp_path / "series.json")
+    series = read_json(tmp_path / "series.json")
+    series["coefficients"][1]["terms"][0]["im"] = [[math.nan]]
+    (tmp_path / "nan_coefficient.json").write_text(json.dumps(series))
+    series = read_json(tmp_path / "series.json")
+    series["coupling"] = math.nan
+    (tmp_path / "nan_coupling.json").write_text(json.dumps(series))
+    series["coupling"], series["coefficients"] = 1e-4, []
+    (tmp_path / "empty_series.json").write_text(json.dumps(series))
+    if argv[0] == "regularize" and "--infile" not in argv:
+        argv = argv + ["--infile", "series.json"]
+    assert main(argv + ["--out", "out"]) == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "domain"
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+
 # ------------------------------------------------------------- example
 
 

@@ -403,6 +403,18 @@ def test_divergence_signature_coefficients():
         1j * (z / k) * math.log(4.0 * k * k), abs=1e-9)
 
 
+def test_divergence_signature_keeps_tiny_coupling():
+    # the threshold is relative only: a weak Coulomb tail keeps its ln term
+    z, k = 1e-12, 2.0
+    t = np.geomspace(5.0, 500.0, 9)
+    tau = -np.geomspace(7.0, 700.0, 9)
+    sig = coulomb_divergence_check(z, k, t, tau)
+    assert set(sig.terms) == {LOG, CONSTANT}
+    assert sig.terms[LOG] == pytest.approx(1j * z / k, rel=1e-9)
+    assert sig.terms[CONSTANT] == pytest.approx(
+        1j * (z / k) * math.log(4.0 * k * k), rel=1e-9)
+
+
 def test_divergence_signature_empty_without_coulomb():
     t = np.geomspace(5.0, 500.0, 9)
     tau = -np.geomspace(7.0, 700.0, 9)

@@ -6,11 +6,14 @@ skew-Hermitian matrices.
 """
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devfactor import expansions as ex
 from devfactor.dirac import I4, gamma
@@ -21,6 +24,7 @@ from devfactor.expansions import (
     LOG,
     LOG2,
     QUADRATIC,
+    REGULATOR_KINDS,
     ULTRAVIOLET,
     AdmissibilityError,
     AsymptoticExpansion,
@@ -30,7 +34,6 @@ from devfactor.expansions import (
     check_admissible,
     class_a,
     deviation_factor,
-    evaluate_factor,
     model_series,
     regularize_series,
     regularize_term,
@@ -107,6 +110,25 @@ def test_expansion_value_and_sorting():
         2.0j * math.log(lam) + 5.0 + 1.0 / lam, rel=1e-15)
     order = [b for b, _ in a.sorted_terms()]
     assert order == [LOG, CONSTANT, BasisFunction(-1, 0)]
+
+
+@pytest.mark.parametrize("coeff", [
+    math.nan * 1j, complex(math.inf, 1.0), [[1j, math.nan], [math.nan, 1j]],
+], ids=["nan-imaginary", "inf-real", "nan-matrix"])
+def test_nonfinite_coefficients_refused(coeff):
+    # an expansion and a factor's exponent share one coefficient check, so
+    # neither the admissibility check nor a factor ever sees NaN or inf
+    with pytest.raises(ValueError, match="finite"):
+        AsymptoticExpansion(ULTRAVIOLET, {LOG: coeff})
+    with pytest.raises(ValueError, match="finite"):
+        DeviationFactor(ULTRAVIOLET, {LOG: coeff})
+    record = AsymptoticExpansion(ULTRAVIOLET, {LOG: 1j}).to_json_dict()
+    record["terms"][0]["re"] = [[math.nan]]
+    with pytest.raises(ValueError, match="finite"):
+        AsymptoticExpansion.from_json_dict(record)
+    for coupling in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            CouplingSeries(coupling, [AsymptoticExpansion(ULTRAVIOLET, {LOG: 1j})])
 
 
 def test_expansion_drops_zero_coefficients():
@@ -277,11 +299,31 @@ def test_deviation_factor_rejects_inadmissible():
     assert not err.value.report.passed
 
 
-def test_evaluate_factor_function_and_domain():
+def test_factor_evaluate_domain():
     f = DeviationFactor(ULTRAVIOLET, {LOG: 1.0})
-    assert evaluate_factor(f, 5.0) == f.evaluate(5.0)
-    with pytest.raises(ValueError):
-        evaluate_factor(f, -1.0)
+    assert f.evaluate(5.0) == cmath.exp(1j * math.log(5.0))
+    for lam in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            f.evaluate(lam)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 4]),
+       regulator=st.sampled_from(REGULATOR_KINDS),
+       log_scale=st.floats(-3.0, 3.0), log_lam=st.floats(-2.0, 6.0))
+def test_factor_json_round_trip_is_bit_identical(seed, dim, regulator,
+                                                  log_scale, log_lam):
+    rng = np.random.default_rng(seed)
+    exponent = {}
+    for b in (QUADRATIC, LINEAR, LOG2, LOG, CONSTANT,
+              BasisFunction(Fraction(-1, 2), 1)):
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        exponent[b] = (h + h.conj().T) / 2.0
+    f = DeviationFactor(regulator, exponent, reference_scale=10.0 ** log_scale)
+    g = DeviationFactor.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
+    assert g.to_json_dict() == f.to_json_dict()
+    lam = 10.0 ** log_lam
+    assert np.array_equal(g.evaluate(lam), f.evaluate(lam))
 
 
 def test_factor_json_round_trip():
@@ -362,6 +404,45 @@ def test_series_reconstruction_law():
                           for m, r in enumerate(regular, start=1))
         recon = factor.evaluate(lam) * tilde
         assert abs(direct - recon) <= 1e-12
+
+
+def _random_admissible_series(rng, dim, orders, coupling):
+    """Divergent coefficients i times Hermitian, finite ones arbitrary."""
+    def normal():
+        return 0.2 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+    coefficients = []
+    for _ in range(orders):
+        terms = {b: normal() for b in (CONSTANT, BasisFunction(-1, 0))}
+        for b in (LINEAR, LOG2, LOG):
+            h = normal()
+            terms[b] = 0.5j * (h + h.conj().T)
+        coefficients.append(AsymptoticExpansion(ULTRAVIOLET, terms, dim=dim))
+    return CouplingSeries(coupling, coefficients)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 4]),
+       orders=st.integers(1, 3), coupling=st.floats(1e-6, 0.3),
+       log_lam=st.floats(0.3, 3.0))
+def test_series_reconstruction_law_property(seed, dim, orders, coupling, log_lam):
+    # U(L) regular(L) = raw(L) up to second order in the absorbed exponent:
+    # with x = sum_m e^m (divergent part of a_m)(L), anti-Hermitian, and
+    # r = sum_m e^m regular_m(L), U = exp(x) and raw = 1 + x + r, so
+    # ||U (1 + r) - raw|| = ||(U - 1 - x) + (U - 1) r|| <= |x| (|x|/2 + |r|).
+    series = _random_admissible_series(np.random.default_rng(seed), dim,
+                                       orders, coupling)
+    lam = 10.0 ** log_lam
+    factor, regular = regularize_series(series, lam)
+    weights = [coupling ** m for m in range(1, orders + 1)]
+    x = sum(w * np.atleast_2d(a.divergent_part().value_at(lam))
+            for w, a in zip(weights, series.coefficients))
+    r = sum(w * np.atleast_2d(reg) for w, reg in zip(weights, regular))
+    raw = np.atleast_2d(series.value_at(lam))
+    recon = np.atleast_2d(factor.evaluate(lam)) @ (np.eye(dim) + r)
+    nx, nr = np.linalg.norm(x), np.linalg.norm(r)
+    rounding = 1e-14 * dim * (1.0 + nx) * (1.0 + nx + nr)
+    assert np.linalg.norm(recon - raw) <= nx * (nx / 2.0 + nr) + rounding
 
 
 def test_series_regularized_terms_converge():

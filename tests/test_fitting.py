@@ -54,6 +54,11 @@ def test_exact_recovery_three_terms():
     assert res.coefficient(-1, 0) == pytest.approx(2.0, abs=1e-7)
     assert res.residual_norm <= 1e-8
     assert res.n_samples == 7
+    # exact ln/1 data: growing columns get no more than rounding at the top rung
+    res = fit(make_samples(lambdas, values - 2.0 / lambdas),
+              basis=(BasisFunction(2, 0), BasisFunction(1, 0), LOG, CONSTANT))
+    assert abs(res.coefficient(2, 0)) * lambdas[-1] ** 2 <= 1e-12
+    assert abs(res.coefficient(1, 0)) * lambdas[-1] <= 1e-12
 
 
 def test_randomized_recovery_full_basis():

@@ -256,8 +256,10 @@ def test_photon_regular_part():
 
 def test_photon_cross_checks():
     rep = photon_self_energy(0.01, 1.0, 0.4)
-    assert rep.cross_checks["quadratic_cutoff_term"] <= 1e-8
+    assert set(rep.cross_checks) == {"small_ratio_sigma"}
     assert rep.cross_checks["small_ratio_sigma"] <= 0.02
+    # the closed asymptote grows only logarithmically
+    assert set(rep.expansion.terms) == {LOG, CONSTANT}
     big = photon_self_energy(4.0, 1.0, 0.4)
     assert "small_ratio_sigma" not in big.cross_checks
 
@@ -329,13 +331,14 @@ def test_vertex_equal_masses_neutral_ir_factor():
     assert np.allclose(rep.ir_factor.evaluate(1.0 / m), I4, atol=1e-13)
 
 
-def test_vertex_regular_is_fitted_placeholder():
-    rep = vertex_part(1.0, 0.3, 0.001, 1000.0, 3)
-    assert "placeholder" in rep.regular_part_note
-    # scalar multiple of the same gamma matrix
-    g = GAMMA[2]
-    coeff = np.trace(g.conj().T @ rep.regular_part) / 4.0
-    assert np.allclose(rep.regular_part, coeff * g, atol=1e-12)
+def test_vertex_regular_is_uv_constant_term():
+    m, e, lam = 1.3, 0.3, 0.001
+    rep = vertex_part(m, e, lam, 1000.0, 3)
+    assert rep.regular_part_note.startswith("constant term")
+    assert np.array_equal(rep.regular_part, rep.expansion.terms[CONSTANT])
+    c = e * e / (4.0 * math.pi ** 2)
+    expected = -c * (0.5 * math.log(m) + math.log(m / lam)) * GAMMA[2]
+    assert np.allclose(rep.regular_part, expected, rtol=0, atol=1e-15)
 
 
 def test_vertex_validation():
