@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -242,8 +241,8 @@ def _build_integrand(kind, p, ell):
 def cmd_ladder(args):
     if args.points < 1:
         raise ValueError(f"need at least one rung, got {args.points}")
-    if not (0 < args.lmin < args.lmax < math.inf):
-        raise ValueError(f"need 0 < lmin < lmax < inf, "
+    if not (0 < args.lmin < args.lmax):
+        raise ValueError(f"need 0 < lmin < lmax, "
                          f"got lmin={args.lmin}, lmax={args.lmax}")
     integrand = _build_integrand(args.integrand, args.p, args.ell)
     radii = np.geomspace(args.lmin, args.lmax, args.points)
@@ -304,8 +303,8 @@ def cmd_regularize(args):
     lambdas = args.lambdas
     if not lambdas:
         raise ValueError("need at least one regulator value")
-    if not all(0 < l < math.inf for l in lambdas):
-        raise ValueError("regulator values must be positive and finite")
+    if not all(l > 0 for l in lambdas):
+        raise ValueError("regulator values must be positive")
     factor = series_factor(series)
     evaluations = []
     for lam in lambdas:
@@ -351,10 +350,10 @@ def cmd_example(args):
 
 
 def cmd_coulomb(args):
-    spec = coulomb_mod.CoulombPotentialSpec(z=args.z, e=args.e, ell=args.ell,
+    spec = coulomb_mod.CoulombPotentialSpec(z=args.z, ell=args.ell,
                                             measure=tuple(args.measure))
-    if not (0 < args.kmin < args.kmax < math.inf):
-        raise ValueError(f"need 0 < kmin < kmax < inf, "
+    if not (0 < args.kmin < args.kmax):
+        raise ValueError(f"need 0 < kmin < kmax, "
                          f"got kmin={args.kmin}, kmax={args.kmax}")
     if args.points < 2:
         raise ValueError(f"need at least two grid points, got {args.points}")
@@ -369,11 +368,7 @@ def cmd_coulomb(args):
     print(f"wrote: {csv_path}")
     _write_plot(args, f"{args.prefix}_s1", ks, values)
 
-    t_values = np.array(args.t) if args.t else np.geomspace(10.0, 1e4, 7)
-    tau_values = (np.array(args.tau) if args.tau
-                  else -np.geomspace(10.0, 1e4, 7) * 1.5)
-    expansion = coulomb_mod.coulomb_divergence_check(
-        args.z, args.k_ref, t_values, tau_values)
+    expansion = coulomb_mod.coulomb_divergence_check(args.z, args.k_ref)
     divergent = expansion.divergent_part()
     factor = None
     if divergent.terms:
@@ -403,6 +398,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, prefix):
+        # flags are spelled in full, so no prefix silently means another flag
+        # (coulomb --e would otherwise read as --ell)
+        p.allow_abbrev = False
         p.add_argument("--config", help="key = value defaults file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--prefix", default=prefix, help="output file stem")
@@ -464,7 +462,6 @@ def build_parser():
     p = sub.add_parser("coulomb", help="Coulomb kernel tables and phase signature")
     common(p, "coulomb")
     p.add_argument("--z", type=float, default=1.0, help="Coulomb strength")
-    p.add_argument("--e", type=float, default=1.0, help="coupling")
     p.add_argument("--ell", type=int, default=0, help="partial wave")
     p.add_argument("--measure", type=_measure_pairs, default=(),
                    help="Yukawa terms beta:weight, comma separated")
@@ -473,12 +470,17 @@ def build_parser():
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--k-ref", type=float, default=1.0,
                    help="momentum for the phase signature")
-    p.add_argument("--t", type=_float_list, default=None,
-                   help="outgoing times for the phase signature")
-    p.add_argument("--tau", type=_float_list, default=None,
-                   help="incoming (negative) times for the phase signature")
 
     return parser
+
+
+def _check_finite(args):
+    """Refuse a non-finite number in any parsed flag (scalar, vector, list or
+    measure pairs) before a handler computes or writes anything."""
+    for dest, value in vars(args).items():
+        if isinstance(value, (float, list, tuple)) and not np.isfinite(value).all():
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} must be finite, got {value}")
 
 
 def main(argv=None):
@@ -493,6 +495,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_finite(args)
         # looked up at call time, so a rebound cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except NonConvergenceError as exc:

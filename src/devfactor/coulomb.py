@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import CONSTANT, INFRARED, LOG
-from .fitting import detect_signature
+from .expansions import CONSTANT, INFRARED, LOG, AsymptoticExpansion
 # segment_integrate is not called here; the binding stays because the
 # benchmark's tracer test (perfbench/test_perfbench.py) expects
 # devfactor.coulomb.segment_integrate.  Drop it with that expectation.
-from .quadrature import SampledIntegral, segment_integrate  # noqa: F401
+from .quadrature import segment_integrate  # noqa: F401
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -258,33 +257,18 @@ def s1(spec, k, quad_tol=1e-12):
     return total
 
 
-def coulomb_divergence_check(z, k, t_values, tau_values):
-    """Fit the sampled long-time Coulomb phase against {ln, 1} in |t tau|.
+def coulomb_divergence_check(z, k):
+    """Infrared signature of the long-time Coulomb phase in |t tau|.
 
-    t_values are positive outgoing times, tau_values negative incoming ones,
-    with |t tau| strictly increasing.  The sampled first-order phase
-    i (z/k) (ln(2kt) + ln(2k|tau|)) is fit over the product regulator, and
-    detect_signature keeps the terms above 1e-10 of the largest one
-    (coefficient i z / k on the logarithm, i (z/k) ln(4 k^2) constant), at
-    any scale of z / k; the infrared expansion is empty for z = 0.
+    For outgoing t > 0 and incoming tau < 0 the first-order phase is exact:
+    w0(t) conj(w0(tau)) = exp(i (z/k) (ln|t tau| + ln(4 k^2))), so the
+    expansion carries i z / k on the logarithm and i (z/k) ln(4 k^2) as its
+    constant.  Exact zeros are dropped: z = 0 gives an empty expansion and
+    k = 1/2 no constant term.
     """
-    if not (k > 0):
-        raise ValueError(f"momentum must be positive, got {k}")
-    t_values = np.asarray(t_values, dtype=float)
-    tau_values = np.asarray(tau_values, dtype=float)
-    if t_values.shape != tau_values.shape or t_values.ndim != 1:
-        raise ValueError("time grids must be matching 1-D arrays")
-    if np.any(t_values <= 0):
-        raise ValueError("outgoing times must be positive")
-    if np.any(tau_values >= 0):
-        raise ValueError("incoming times must be negative")
-    products = t_values * np.abs(tau_values)
-    phases = np.array([
-        w0_log_phase(t, k, z) - w0_log_phase(tau, k, z)
-        for t, tau in zip(t_values, tau_values)
-    ])
-    samples = SampledIntegral(products, 1j * phases,
-                              np.zeros(products.size),
-                              np.ones(products.size, dtype=bool))
-    return detect_signature(samples, threshold=1e-10, basis=(LOG, CONSTANT),
-                            regulator=INFRARED)
+    if not (0 < k < math.inf):
+        raise ValueError(f"momentum must be positive and finite, got {k}")
+    return AsymptoticExpansion(INFRARED, {
+        LOG: complex(0.0, z / k),
+        CONSTANT: complex(0.0, (z / k) * (2.0 * math.log(2.0 * k))),
+    }, dim=1)

@@ -159,13 +159,12 @@ def fit(samples, basis=DEFAULT_BASIS):
                      condition=condition, n_samples=n)
 
 
-def detect_signature(samples, threshold=1e-4, basis=DEFAULT_BASIS,
-                     regulator=ULTRAVIOLET):
+def detect_signature(samples, threshold=1e-4, basis=DEFAULT_BASIS):
     """Fit a ladder and keep only coefficients above the relative threshold.
 
     The threshold is relative to the largest fitted coefficient magnitude.
-    Returns the surviving terms as an asymptotic expansion (empty when all
-    coefficients are negligible).
+    Returns the surviving terms as an ultraviolet asymptotic expansion (empty
+    when all coefficients are negligible).
     """
     if not 0 < threshold < np.inf:
         raise ValueError(
@@ -178,7 +177,7 @@ def detect_signature(samples, threshold=1e-4, basis=DEFAULT_BASIS,
         for b, c in result.coefficients.items():
             if mags[b] > threshold * top:
                 terms[b] = c
-    return AsymptoticExpansion(regulator, terms, dim=1)
+    return AsymptoticExpansion(ULTRAVIOLET, terms, dim=1)
 
 
 def parse_basis(text):
@@ -218,6 +217,15 @@ def write_samples_csv(path, samples, generator=None):
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_number(token):
+    """A JSON number or NaN/Infinity token as a float, refused unless finite
+    (1e999 parses to inf as well)."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(f"generator comment holds the non-finite number {token}")
+    return value
+
+
 def read_samples_csv(path):
     """Read a ladder CSV written by write_samples_csv.
 
@@ -233,7 +241,9 @@ def read_samples_csv(path):
         if ln.startswith("#"):
             comment = ln[1:].strip()
             if comment.startswith("generator:"):
-                generator = json.loads(comment[len("generator:"):])
+                generator = json.loads(comment[len("generator:"):],
+                                       parse_float=_finite_number,
+                                       parse_constant=_finite_number)
             elif comment.startswith("nonconverged_rows:"):
                 bad_rows = json.loads(comment[len("nonconverged_rows:"):])
             continue

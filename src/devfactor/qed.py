@@ -99,7 +99,7 @@ class FeynmanCheck:
     rel_error: float
 
 
-def feynman_combine(a, b, tol=1e-12):
+def feynman_combine(a, b):
     """Check the denominator-combination identity for positive a, b."""
     a = float(a)
     b = float(b)
@@ -111,7 +111,7 @@ def feynman_combine(a, b, tol=1e-12):
         d = a * u + b * (1.0 - u)
         return 1.0 / (d * d)
 
-    res = segment_integrate(integrand, 0.0, 1.0, tol=tol, abs_tol=1e-16)
+    res = segment_integrate(integrand, 0.0, 1.0, tol=1e-12, abs_tol=1e-16)
     abs_err = abs(res.value - exact)
     return FeynmanCheck(a, b, exact, float(np.real(res.value)),
                         abs_err, abs_err / abs(exact))
@@ -174,39 +174,40 @@ def feynman_log_moment(p_sq, m):
             + ((p_sq + msq) / p_sq) * math.log(msq + p_sq))
 
 
-def _feynman_log_moment_quadrature(p_sq, m, tol=1e-12):
+def _feynman_log_moment_quadrature(p_sq, m):
     msq = m * m
 
     def integrand(u):
         return np.log((p_sq + msq) * u - p_sq * u * u)
 
-    res = segment_integrate(integrand, 0.0, 1.0, tol=tol, abs_tol=1e-14)
+    res = segment_integrate(integrand, 0.0, 1.0, tol=1e-12, abs_tol=1e-14)
     return float(np.real(res.value))
 
 
-def _ladder_coefficient_checks(p, delta_shift=1.0, tol=1e-8):
-    """Fit ladders of the two shifted-denominator building blocks and compare
-    the log and constant coefficients with the closed asymptotes."""
+def _ladder_coefficient_checks(p):
+    """Fit ladders of the two shifted-denominator building blocks at
+    ell = |p|^2 + 1 and compare the log and constant coefficients with the
+    closed asymptotes, whose ln(ell - |p|^2) terms vanish there."""
     p = np.asarray(p, dtype=float)
     p_sq = float(p @ p)
-    ell = p_sq + delta_shift
+    ell = p_sq + 1.0
     radii = np.geomspace(10.0, 1000.0, 8)
     basis = (LOG, CONSTANT, BasisFunction(-1, 0), BasisFunction(-2, 0))
     out = {}
 
-    samples = cutoff_ladder(shifted_denominator_integrand(p, ell), radii, tol=tol)
+    samples = cutoff_ladder(shifted_denominator_integrand(p, ell), radii, tol=1e-8)
     res = fit(samples, basis)
     log_exact = 2.0 * math.pi ** 2
-    const_exact = -math.pi ** 2 * (1.0 + math.log(delta_shift))
+    const_exact = -math.pi ** 2
     out["ladder_log_scalar"] = abs(res.coefficient(0, 1) - log_exact) / abs(log_exact)
     out["ladder_const_scalar"] = (abs(res.coefficient(0, 0) - const_exact)
                                   / max(abs(const_exact), 1.0))
 
     p_mag = math.sqrt(p_sq)
-    samples = cutoff_ladder(shifted_component_integrand(p, ell), radii, tol=tol)
+    samples = cutoff_ladder(shifted_component_integrand(p, ell), radii, tol=1e-8)
     res = fit(samples, basis)
     log_exact = 2.0 * math.pi ** 2 * p_mag
-    const_exact = -math.pi ** 2 * p_mag * (1.5 + math.log(delta_shift))
+    const_exact = -math.pi ** 2 * p_mag * 1.5
     out["ladder_log_vector"] = abs(res.coefficient(0, 1) - log_exact) / abs(log_exact)
     out["ladder_const_vector"] = (abs(res.coefficient(0, 0) - const_exact)
                                   / max(abs(const_exact), 1.0))
@@ -278,7 +279,7 @@ def electron_self_energy(p, m, e, cross_check_ladder=False):
     )
 
 
-def bubble_moment(p_sq, m, tol=1e-12):
+def bubble_moment(p_sq, m):
     """Bubble integral sigma = int_0^1 x(1-x) ln(1 + (p^2/m^2) x(1-x)) dx."""
     if m <= 0:
         raise ValueError(f"mass must be positive, got {m}")
@@ -291,7 +292,7 @@ def bubble_moment(p_sq, m, tol=1e-12):
     def integrand(x):
         return x * (1.0 - x) * np.log1p(ratio * x * (1.0 - x))
 
-    res = segment_integrate(integrand, 0.0, 1.0, tol=tol, abs_tol=1e-16)
+    res = segment_integrate(integrand, 0.0, 1.0, tol=1e-12, abs_tol=1e-16)
     return float(np.real(res.value))
 
 

@@ -5,9 +5,11 @@ subprocess smoke test covers the module entry point.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -206,6 +208,20 @@ def test_fit_nonpositive_or_nonfinite_threshold_exit_3(tmp_path, capsys,
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "threshold" in err["error"]["message"]
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_fit_refuses_nonfinite_generator_exit_3(tmp_path, capsys, token):
+    # Python's json reads these as floats; fit_report would echo them
+    infile = tmp_path / "ladder.csv"
+    with open(FIXTURE) as fh:
+        rows = [ln for ln in fh if not ln.startswith("#")]
+    infile.write_text(f'# generator: {{"ell": {token}}}\n' + "".join(rows))
+    rc = main(["fit", "--infile", str(infile), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "generator" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- regularize
@@ -417,6 +433,15 @@ def test_coulomb_underflowing_momentum_exit_3(tmp_path, capsys):
     assert "normal" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("flag", ["--t", "--tau", "--e"])
+def test_coulomb_removed_flags_exit_2(tmp_path, capsys, flag):
+    # the phase signature is a closed form: no time grids, and no coupling
+    # that any coulomb output reads
+    assert main(["coulomb", flag, "10", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert not os.listdir(tmp_path)
+
+
 # ------------------------------------------------------------- config
 
 
@@ -455,6 +480,76 @@ def test_missing_config_exit_2(tmp_path, capsys):
 
 
 # ------------------------------------------------------------- exit codes
+
+
+# (subcommand arguments, flag, value template): every float flag of every
+# subcommand, and of every example the flag feeds
+FLOAT_FLAGS = [
+    ("spectral --q 1,0,0 --m 1", "--q", "{},0,0"),
+    ("spectral --q 1,0,0 --m 1", "--m", "{}"),
+    ("ladder", "--p", "0,{},0,0"),
+    ("ladder", "--ell", "{}"),
+    ("ladder", "--lmin", "{}"),
+    ("ladder", "--lmax", "{}"),
+    ("ladder", "--tol", "{}"),
+    ("fit --infile " + FIXTURE, "--threshold", "{}"),
+    ("regularize --infile series.json", "--lambdas", "100,{}"),
+    ("example --id electron", "--p", "{},0,0,0"),
+    ("example --id electron", "--m", "{}"),
+    ("example --id electron", "--e", "{}"),
+    ("example --id photon", "--p2", "{}"),
+    ("example --id photon", "--m", "{}"),
+    ("example --id photon", "--e", "{}"),
+    ("example --id vertex", "--m", "{}"),
+    ("example --id vertex", "--e", "{}"),
+    ("example --id vertex", "--photon-mass", "{}"),
+    ("example --id vertex", "--cutoff", "{}"),
+    ("coulomb", "--z", "{}"),
+    ("coulomb", "--measure", "1.0:0.5,2.0:{}"),
+    ("coulomb", "--kmin", "{}"),
+    ("coulomb", "--kmax", "{}"),
+    ("coulomb", "--k-ref", "{}"),
+]
+
+
+def _probe_id(base, flag):
+    words = base.split()
+    return (words[2] if words[0] == "example" else words[0]) + flag
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("base,flag,template", FLOAT_FLAGS,
+                         ids=[_probe_id(b, f) for b, f, _ in FLOAT_FLAGS])
+def test_nonfinite_flag_exit_3(tmp_path, capsys, monkeypatch, base, flag,
+                               template, value):
+    # refused before any handler runs: no file, no RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    write_series_file(tmp_path / "series.json")
+    argv = base.split() + [f"{flag}={template.format(value)}", "--out", "out"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc == 3
+    assert caught == []
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "domain"
+    assert flag in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_flag_is_read_by_its_handler():
+    # a flag no handler reads changes no result
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if action.dest in ("config", "out", "prefix"):
+                continue
+            assert re.search(rf"\bargs\.{action.dest}\b", source), (
+                name, action.dest)
 
 
 def test_argparse_error_exit_2(capsys):

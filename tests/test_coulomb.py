@@ -6,12 +6,15 @@ integral); adaptive quadrature of the Legendre-weighted propagator, with P_l
 from scipy, and mpmath's Q check them.
 """
 
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devfactor.coulomb import (
     EULER_GAMMA,
@@ -25,7 +28,7 @@ from devfactor.coulomb import (
     w0,
     w0_log_phase,
 )
-from devfactor.expansions import CONSTANT, INFRARED, LOG
+from devfactor.expansions import CONSTANT, INFRARED, LOG, deviation_factor
 from devfactor.quadrature import segment_integrate
 
 
@@ -393,9 +396,7 @@ def test_s1_momentum_validation():
 
 def test_divergence_signature_coefficients():
     z, k = 1.0, 2.0
-    t = np.geomspace(5.0, 500.0, 9)
-    tau = -np.geomspace(7.0, 700.0, 9)
-    sig = coulomb_divergence_check(z, k, t, tau)
+    sig = coulomb_divergence_check(z, k)
     assert sig.regulator == INFRARED
     assert set(sig.terms) == {LOG, CONSTANT}
     assert sig.terms[LOG] == pytest.approx(1j * z / k, abs=1e-10)
@@ -404,11 +405,9 @@ def test_divergence_signature_coefficients():
 
 
 def test_divergence_signature_keeps_tiny_coupling():
-    # the threshold is relative only: a weak Coulomb tail keeps its ln term
+    # a weak Coulomb tail keeps both terms
     z, k = 1e-12, 2.0
-    t = np.geomspace(5.0, 500.0, 9)
-    tau = -np.geomspace(7.0, 700.0, 9)
-    sig = coulomb_divergence_check(z, k, t, tau)
+    sig = coulomb_divergence_check(z, k)
     assert set(sig.terms) == {LOG, CONSTANT}
     assert sig.terms[LOG] == pytest.approx(1j * z / k, rel=1e-9)
     assert sig.terms[CONSTANT] == pytest.approx(
@@ -416,23 +415,38 @@ def test_divergence_signature_keeps_tiny_coupling():
 
 
 def test_divergence_signature_empty_without_coulomb():
-    t = np.geomspace(5.0, 500.0, 9)
-    tau = -np.geomspace(7.0, 700.0, 9)
-    sig = coulomb_divergence_check(0.0, 2.0, t, tau)
+    sig = coulomb_divergence_check(0.0, 2.0)
     assert sig.terms == {}
 
 
+def test_divergence_signature_drops_vanishing_constant():
+    # ln(4 k^2) = 0 at k = 1/2
+    sig = coulomb_divergence_check(1.0, 0.5)
+    assert set(sig.terms) == {LOG}
+    assert sig.terms[LOG] == pytest.approx(2j, abs=0)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(z=st.floats(-10.0, 10.0), k=st.floats(0.01, 100.0),
+       t=st.floats(1e-3, 1e6), tau=st.floats(-1e6, -1e-3))
+def test_divergence_signature_is_the_phase(z, k, t, tau):
+    # w0(t) conj(w0(tau)) = U(t |tau|) exp(constant), U the deviation factor
+    # of the signature's divergent part
+    sig = coulomb_divergence_check(z, k)
+    constant = sig.finite_part()
+    predicted = (deviation_factor(sig.divergent_part()).evaluate(t * abs(tau))
+                 * cmath.exp(constant))
+    # each side rounds phases of up to this size before they cancel
+    theta = (abs(w0_log_phase(t, k, z)) + abs(w0_log_phase(tau, k, z))
+             + abs(constant))
+    phase = w0(t, k, z) * w0(tau, k, z).conjugate()
+    assert abs(phase - predicted) <= 1e-15 * (1.0 + theta)
+
+
 def test_divergence_check_validation():
-    t = np.geomspace(5.0, 500.0, 9)
-    tau = -np.geomspace(7.0, 700.0, 9)
-    with pytest.raises(ValueError):
-        coulomb_divergence_check(1.0, 0.0, t, tau)
-    with pytest.raises(ValueError):
-        coulomb_divergence_check(1.0, 2.0, -t, tau)
-    with pytest.raises(ValueError):
-        coulomb_divergence_check(1.0, 2.0, t, -tau)
-    with pytest.raises(ValueError):
-        coulomb_divergence_check(1.0, 2.0, t[:-1], tau)
+    for k in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            coulomb_divergence_check(1.0, k)
 
 
 # ---------------------------------------------------------------- spec

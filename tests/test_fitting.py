@@ -10,7 +10,6 @@ import pytest
 
 from devfactor.expansions import (
     CONSTANT,
-    INFRARED,
     LOG,
     LOG2,
     ULTRAVIOLET,
@@ -231,10 +230,9 @@ def test_detect_signature_keeps_dominant_terms():
 def test_detect_signature_threshold_and_regulator():
     lambdas = np.geomspace(10.0, 1e4, 12)
     values = 2.0j * np.log(lambdas) + 1e-6
-    sig = detect_signature(make_samples(lambdas, values), threshold=1e-3,
-                           regulator=INFRARED)
+    sig = detect_signature(make_samples(lambdas, values), threshold=1e-3)
     assert set(sig.terms) == {LOG}
-    assert sig.regulator == INFRARED
+    assert sig.regulator == ULTRAVIOLET
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="threshold"):
             detect_signature(make_samples(lambdas, values), threshold=bad)
