@@ -9,7 +9,10 @@ written with repr, JSON keys are sorted, nothing records time or environment).
 
 Exit codes: 0 success, 2 argument or config-file errors, 3 domain errors,
 4 non-convergence (partial results are still written).  Errors are reported
-as one JSON object on stdout.
+as one JSON object on stdout.  A handler computes and formats everything
+before _write opens its first file, so an exit 2 or 3 writes nothing; a
+result that overflows to a NaN or infinity is a domain error, and every
+number written is finite except the documented inf error of a starved rung.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -34,7 +38,6 @@ from .expansions import (
 from .dirac import eigensystem, hamiltonian
 from .fitting import (
     DEFAULT_BASIS,
-    detect_signature,
     fit,
     parse_basis,
     read_samples_csv,
@@ -164,35 +167,48 @@ def _emit_error(kind, message):
     print(json.dumps(obj, sort_keys=True))
 
 
-def _out_path(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _finite(x):
+    """repr of one number of a CSV or .dat file, refused unless finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"a result is not finite ({x}); nothing was written")
+    return repr(x)
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    print(f"wrote: {path}")
+def _json(obj):
+    """JSON text of a report; a NaN or infinite number raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_plot(args, stem, xs, ys):
+def _plot(stem, xs, ys):
     """Two-column (x, re) and (x, im) data files plus a gnuplot stub."""
     ys = np.asarray(ys, dtype=complex)
-    for suffix, comp in (("_re", ys.real), ("_im", ys.imag)):
-        path = _out_path(args, stem + suffix + ".dat")
-        with open(path, "w") as fh:
-            for x, y in zip(xs, comp):
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
+    files = {f"{stem}{suffix}.dat": "".join(f"{_finite(x)} {_finite(y)}\n"
+                                            for x, y in zip(xs, comp))
+             for suffix, comp in (("_re", ys.real), ("_im", ys.imag))}
+    files[f"{stem}.gp"] = (
+        "# gnuplot stub\n"
+        "set logscale x\n"
+        f"plot '{stem}_re.dat' using 1:2 with linespoints title 're', \\\n"
+        f"     '{stem}_im.dat' using 1:2 with linespoints title 'im'\n"
+        "pause -1\n")
+    return files
+
+
+def _write(args, files):
+    """Create --out and write the files, {name: text}, in order.  Handlers
+    call this once, after every text is formatted, so a refused result
+    leaves no file behind.  A function in place of a text writes its file
+    itself, given the path."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        path = os.path.join(args.out, name)
+        if callable(text):
+            text(path)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
         print(f"wrote: {path}")
-    gp = _out_path(args, stem + ".gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "# gnuplot stub\n"
-            "set logscale x\n"
-            f"plot '{stem}_re.dat' using 1:2 with linespoints title 're', \\\n"
-            f"     '{stem}_im.dat' using 1:2 with linespoints title 'im'\n"
-            "pause -1\n")
-    print(f"wrote: {gp}")
 
 
 def cmd_spectral(args):
@@ -221,21 +237,14 @@ def cmd_spectral(args):
         "eigen_residual": residual,
         "h_squared_defect": hsq_defect,
     }
-    _write_json(_out_path(args, f"{args.prefix}.json"), obj)
+    _write(args, {f"{args.prefix}.json": _json(obj)})
     return 0
 
 
-_INTEGRANDS = ("volume", "shifted", "component")
-
-
-def _build_integrand(kind, p, ell):
-    if kind == "volume":
-        return unit_integrand()
-    if kind == "shifted":
-        return shifted_denominator_integrand(p, ell)
-    if kind == "component":
-        return shifted_component_integrand(p, ell)
-    raise ValueError(f"unknown integrand {kind!r}; known: {_INTEGRANDS}")
+# ladder integrands by name, each built from --p and --ell
+_INTEGRANDS = {"volume": lambda p, ell: unit_integrand(),
+               "shifted": shifted_denominator_integrand,
+               "component": shifted_component_integrand}
 
 
 def cmd_ladder(args):
@@ -244,7 +253,7 @@ def cmd_ladder(args):
     if not (0 < args.lmin < args.lmax):
         raise ValueError(f"need 0 < lmin < lmax, "
                          f"got lmin={args.lmin}, lmax={args.lmax}")
-    integrand = _build_integrand(args.integrand, args.p, args.ell)
+    integrand = _INTEGRANDS[args.integrand](args.p, args.ell)
     radii = np.geomspace(args.lmin, args.lmax, args.points)
     samples = cutoff_ladder(integrand, radii, tol=args.tol,
                             max_evals=args.max_evals)
@@ -258,16 +267,19 @@ def cmd_ladder(args):
         "lmax": args.lmax,
         "points": args.points,
     }
-    csv_path = _out_path(args, f"{args.prefix}.csv")
-    write_samples_csv(csv_path, samples, generator=generator)
-    print(f"wrote: {csv_path}")
-    _write_plot(args, args.prefix, samples.lambdas, samples.values)
+    # the CSV keeps a starved rung's documented inf error; the plot files
+    # carry its cutoffs and values, so formatting them refuses a non-finite one
+    csv_name = f"{args.prefix}.csv"
+    files = {csv_name: lambda path: write_samples_csv(path, samples,
+                                                      generator=generator)}
+    files.update(_plot(args.prefix, samples.lambdas, samples.values))
+    _write(args, files)
     if not samples.all_converged:
         bad = [float(l) for l, ok in zip(samples.lambdas, samples.converged)
                if not ok]
         raise NonConvergenceError(
             f"ladder rungs did not converge at radii {bad}; "
-            f"partial results written to {csv_path}")
+            f"partial results written to {os.path.join(args.out, csv_name)}")
     return 0
 
 
@@ -283,10 +295,8 @@ def cmd_fit(args):
         "fit": result.to_json_dict(),
     }
     if args.threshold is not None:
-        signature = detect_signature(samples, threshold=args.threshold,
-                                     basis=basis)
-        obj["signature"] = signature.to_json_dict()
-    _write_json(_out_path(args, f"{args.prefix}.json"), obj)
+        obj["signature"] = result.signature(args.threshold).to_json_dict()
+    _write(args, {f"{args.prefix}.json": _json(obj)})
     return 0
 
 
@@ -329,7 +339,7 @@ def cmd_regularize(args):
         "factor": factor.to_json_dict(),
         "evaluations": evaluations,
     }
-    _write_json(_out_path(args, f"{args.prefix}.json"), obj)
+    _write(args, {f"{args.prefix}.json": _json(obj)})
     return 0
 
 
@@ -344,8 +354,8 @@ def cmd_example(args):
                                 "cutoff": args.cutoff, "mu": args.mu},
     }
     report = qed.example_report(ident, **arguments[ident])
-    _write_json(_out_path(args, f"example_{report.example_id}.json"),
-                report.to_json_dict())
+    _write(args, {f"example_{report.example_id}.json":
+                  _json(report.to_json_dict())})
     return 0
 
 
@@ -359,15 +369,10 @@ def cmd_coulomb(args):
         raise ValueError(f"need at least two grid points, got {args.points}")
     ks = np.geomspace(args.kmin, args.kmax, args.points)
     values = [coulomb_mod.s1(spec, float(k)) for k in ks]
-    csv_path = _out_path(args, f"{args.prefix}_s1.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("k,l,re,im\n")
-        for k, v in zip(ks, values):
-            fh.write(f"{float(k)!r},{spec.ell},"
-                     f"{float(v.real)!r},{float(v.imag)!r}\n")
-    print(f"wrote: {csv_path}")
-    _write_plot(args, f"{args.prefix}_s1", ks, values)
-
+    files = {f"{args.prefix}_s1.csv": "k,l,re,im\n" + "".join(
+        f"{_finite(k)},{spec.ell},{_finite(v.real)},{_finite(v.imag)}\n"
+        for k, v in zip(ks, values))}
+    files.update(_plot(f"{args.prefix}_s1", ks, values))
     expansion = coulomb_mod.coulomb_divergence_check(args.z, args.k_ref)
     divergent = expansion.divergent_part()
     factor = None
@@ -382,7 +387,8 @@ def cmd_coulomb(args):
         "phase_signature": expansion.to_json_dict(),
         "phase_factor": None if factor is None else factor.to_json_dict(),
     }
-    _write_json(_out_path(args, f"{args.prefix}_phase.json"), obj)
+    files[f"{args.prefix}_phase.json"] = _json(obj)
+    _write(args, files)
     return 0
 
 
@@ -496,12 +502,14 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 2
     try:
         _check_finite(args)
-        # looked up at call time, so a rebound cmd_* is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
+        # an overflow becomes a non-finite result, refused by the writer
+        with np.errstate(all="ignore"):
+            # looked up at call time, so a rebound cmd_* is the one that runs
+            return globals()[f"cmd_{args.command}"](args)
     except NonConvergenceError as exc:
         _emit_error("non-convergence", exc)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         _emit_error("domain", exc)
         return 3
 

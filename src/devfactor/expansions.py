@@ -255,8 +255,12 @@ def split_divergent(a):
 
 
 def regularize_term(a, lam):
-    """Value of the expansion at lam with the divergent basis functions removed."""
-    return a.value_at(lam) - a.divergent_part().value_at(lam)
+    """Value of the expansion at lam with the divergent basis functions
+    removed: the constant plus the decaying remainder, summed without the
+    divergent terms, so no cancellation loses the regular part."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"regulator value must be positive and finite, got {lam}")
+    return a.finite_part() + a.remainder_part().value_at(lam)
 
 
 @dataclass
@@ -492,8 +496,8 @@ def series_factor(series):
 def regularize_series(series, lam):
     """Split off the divergences of a coupling series into one deviation factor.
 
-    Per order m the divergent part of a_m is subtracted pointwise, leaving the
-    regularized coefficient value a_m(lam) - (divergent part)(lam); the factor
+    Per order m the divergent part of a_m is dropped, leaving the regularized
+    coefficient value, the constant plus the remainder at lam; the factor
     is series_factor(series) and does not depend on lam.  Raises
     AdmissibilityError as series_factor does.
 

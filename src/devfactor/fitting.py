@@ -61,6 +61,18 @@ class FitResult:
     def coefficient(self, power, logpower=0):
         return self.coefficients[BasisFunction(power, logpower)]
 
+    def signature(self, threshold=1e-4):
+        """The fitted terms whose magnitude exceeds threshold times the
+        largest one, as an ultraviolet asymptotic expansion (empty when all
+        coefficients are zero)."""
+        if not 0 < threshold < np.inf:
+            raise ValueError(
+                f"threshold must be finite and positive, got {threshold}")
+        top = max(map(abs, self.coefficients.values()), default=0.0)
+        return AsymptoticExpansion(
+            ULTRAVIOLET, {b: c for b, c in self.coefficients.items()
+                          if abs(c) > threshold * top}, dim=1)
+
     def to_json_dict(self):
         return {
             "schema_version": 1,
@@ -160,24 +172,9 @@ def fit(samples, basis=DEFAULT_BASIS):
 
 
 def detect_signature(samples, threshold=1e-4, basis=DEFAULT_BASIS):
-    """Fit a ladder and keep only coefficients above the relative threshold.
-
-    The threshold is relative to the largest fitted coefficient magnitude.
-    Returns the surviving terms as an ultraviolet asymptotic expansion (empty
-    when all coefficients are negligible).
-    """
-    if not 0 < threshold < np.inf:
-        raise ValueError(
-            f"threshold must be finite and positive, got {threshold}")
-    result = fit(samples, basis)
-    mags = {b: abs(c) for b, c in result.coefficients.items()}
-    top = max(mags.values(), default=0.0)
-    terms = {}
-    if top > 0:
-        for b, c in result.coefficients.items():
-            if mags[b] > threshold * top:
-                terms[b] = c
-    return AsymptoticExpansion(ULTRAVIOLET, terms, dim=1)
+    """Fit a ladder and keep only coefficients above the relative threshold:
+    fit(samples, basis).signature(threshold)."""
+    return fit(samples, basis).signature(threshold)
 
 
 def parse_basis(text):

@@ -280,20 +280,30 @@ def electron_self_energy(p, m, e, cross_check_ladder=False):
 
 
 def bubble_moment(p_sq, m):
-    """Bubble integral sigma = int_0^1 x(1-x) ln(1 + (p^2/m^2) x(1-x)) dx."""
+    """Bubble integral sigma = int_0^1 x(1-x) ln(1 + r x(1-x)) dx, r = p^2/m^2.
+
+    In closed form, with u = 4/r and beta = sqrt(1 + u),
+    6 sigma = (1 - u/2) beta ln((beta+1)/(beta-1)) + u - 5/3,
+    the logarithm written as 2 log1p(beta) - ln(u) so that it does not cancel
+    at large r.  Below r = 2 the closed form cancels instead, and the series
+    sum_n (-1)^(n+1) r^n ((n+1)!)^2 / (n (2n+3)!) = r/30 - r^2/280 + ...
+    (convergent for r < 4, terms shrinking by about r/4) is used.
+    """
     if m <= 0:
         raise ValueError(f"mass must be positive, got {m}")
     if p_sq < 0:
         raise ValueError(f"need p^2 >= 0, got {p_sq}")
-    if p_sq == 0:
-        return 0.0
     ratio = p_sq / (m * m)
-
-    def integrand(x):
-        return x * (1.0 - x) * np.log1p(ratio * x * (1.0 - x))
-
-    res = segment_integrate(integrand, 0.0, 1.0, tol=1e-12, abs_tol=1e-16)
-    return float(np.real(res.value))
+    if ratio < 2.0:
+        terms, c = [], ratio / 30.0
+        for n in range(1, 60):
+            terms.append((-1) ** (n + 1) * c / n)
+            c *= ratio * (n + 2) / (2.0 * (2 * n + 5))
+        return math.fsum(terms)
+    u = 4.0 / ratio
+    beta = math.sqrt(1.0 + u)
+    log_term = 2.0 * math.log1p(beta) - math.log(u)
+    return ((1.0 - 0.5 * u) * beta * log_term + u - 5.0 / 3.0) / 6.0
 
 
 def photon_self_energy(p_sq, m, e):

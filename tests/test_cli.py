@@ -5,6 +5,7 @@ subprocess smoke test covers the module entry point.
 """
 
 import argparse
+import ast
 import inspect
 import json
 import math
@@ -17,16 +18,17 @@ import warnings
 import numpy as np
 import pytest
 
-from devfactor import cli, quadrature
+from devfactor import cli, fitting, quadrature
 from devfactor.cli import build_parser, main, parse_config_file
 from devfactor.expansions import (
     CONSTANT,
     LOG,
+    QUADRATIC,
     ULTRAVIOLET,
     AsymptoticExpansion,
     BasisFunction,
 )
-from devfactor.fitting import read_samples_csv
+from devfactor.fitting import detect_signature, read_samples_csv
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "synthetic_ladder.csv")
@@ -163,6 +165,27 @@ def test_fit_recovers_fixture_coefficients(tmp_path):
     sig_terms = obj["signature"]["terms"]
     assert {(t["power"], t["logpower"]) for t in sig_terms} == {
         ("0", 1), ("0", 0), ("-1", 0)}
+
+
+def test_fit_with_threshold_fits_once(tmp_path, monkeypatch):
+    # the signature thresholds the fit the report already holds
+    calls = []
+    real_fit = fitting.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", counting_fit)
+    monkeypatch.setattr(fitting, "fit", counting_fit)
+    rc = main(["fit", "--infile", FIXTURE, "--threshold", "1e-6",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    samples, _ = read_samples_csv(FIXTURE)
+    want = detect_signature(samples, threshold=1e-6).to_json_dict()
+    assert read_json(tmp_path / "fit.json")["signature"] == want
 
 
 def test_fit_custom_basis(tmp_path):
@@ -334,6 +357,64 @@ def test_nonfinite_numeric_input_exit_3(tmp_path, capsys, monkeypatch, argv):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"]["type"] == "domain"
     assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+
+# finite inputs whose results overflow, or divide by an underflowed m^2
+OVERFLOW_PROBES = [
+    "coulomb --z 1e308 --kmin 1e-5",
+    "regularize --infile huge_quadratic.json --lambdas 1e100",
+    "regularize --infile quadratic.json --lambdas 1e200",
+    "example --id electron --e 1e200",
+    "example --id vertex --e 1e200",
+    "example --id electron --p 1e155,0,0,0",
+    "example --id photon --m 1e-200",
+]
+
+
+@pytest.mark.parametrize("line", OVERFLOW_PROBES)
+def test_overflowing_result_writes_nothing_exit_3(tmp_path, capsys,
+                                                  monkeypatch, line):
+    # refused where it would be written: no --out, no file, no warning, and
+    # one error line
+    monkeypatch.chdir(tmp_path)
+    for name, coefficient in (("quadratic.json", 1j),
+                              ("huge_quadratic.json", 1e300j)):
+        a = AsymptoticExpansion(ULTRAVIOLET, {QUADRATIC: coefficient,
+                                              CONSTANT: 0.1})
+        (tmp_path / name).write_text(json.dumps(
+            {"coupling": 0.1, "coefficients": [a.to_json_dict()]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(line.split() + ["--out", "out"])
+    assert rc == 3
+    assert caught == []
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "domain"
+    assert sorted(os.listdir(tmp_path)) == ["huge_quadratic.json",
+                                            "quadratic.json"]
+
+
+def _write_mode_opens(node):
+    """open() calls under node whose mode is not a literal read mode."""
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None))
+                == "open"):
+            continue
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"),
+            ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+            yield call
+
+
+def test_only_write_opens_files_for_writing():
+    # one writer: every file a command writes goes through cli._write
+    tree = ast.parse(inspect.getsource(cli))
+    writers = {getattr(node, "name", "<module>")
+               for node in tree.body for _ in _write_mode_opens(node)}
+    assert writers == {"_write"}
 
 
 # ------------------------------------------------------------- example

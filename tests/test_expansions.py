@@ -198,6 +198,42 @@ def test_regularize_term_monotone_convergence():
     assert gaps[-1] <= 1e-5
 
 
+def test_regularize_term_keeps_regular_part_at_large_cutoff():
+    # dropping the divergent terms, not subtracting their value from the
+    # whole, keeps the constant: the subtraction returned 0.11 + 0j here
+    a = AsymptoticExpansion(ULTRAVIOLET, {
+        LOG: 0.05j, QUADRATIC: 1j, CONSTANT: 0.11 + 0.2j})
+    assert regularize_term(a, 1e8) == 0.11 + 0.2j
+    h = 1j * np.array([[1.0, 0.5], [0.5, -1.0]])
+    c = np.array([[0.11 + 0.2j, 0.3], [-0.3, 0.5j]])
+    b = AsymptoticExpansion(ULTRAVIOLET, {LOG: h, QUADRATIC: h, CONSTANT: c})
+    assert np.array_equal(regularize_term(b, 1e8), c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+       log_lam=st.floats(-3.0, 12.0), log_size=st.floats(0.0, 8.0))
+def test_regularize_term_is_sum_of_nondivergent_terms(seed, dim, log_lam,
+                                                      log_size):
+    rng = np.random.default_rng(seed)
+
+    def coefficient(size=1.0):
+        return size * (rng.normal(size=(dim, dim))
+                       + 1j * rng.normal(size=(dim, dim)))
+
+    regular = {b: coefficient() for b in (
+        CONSTANT, BasisFunction(-1, 0), BasisFunction(-2, 1),
+        BasisFunction(Fraction(-1, 2), 0))}
+    divergent = {b: coefficient(10.0 ** log_size)
+                 for b in (QUADRATIC, LINEAR, LOG2, LOG)}
+    lam = 10.0 ** log_lam
+    out = regularize_term(
+        AsymptoticExpansion(ULTRAVIOLET, {**divergent, **regular}), lam)
+    parts = [c * b.value(lam) for b, c in regular.items()]
+    assert np.all(np.abs(np.atleast_2d(out) - sum(parts))
+                  <= 1e-14 * sum(np.abs(p) for p in parts))
+
+
 def test_regularize_term_rejects_bad_regulator():
     a = AsymptoticExpansion(ULTRAVIOLET, {CONSTANT: 1.0})
     with pytest.raises(ValueError):

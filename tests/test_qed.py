@@ -8,6 +8,7 @@ and the exponential map.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -211,6 +212,19 @@ def test_bubble_moment_against_quad():
     # scaling: sigma depends on p^2/m^2 only
     assert bubble_moment(4.0, 2.0) == pytest.approx(bubble_moment(1.0, 1.0),
                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [
+    1e-10, 1e-4, 0.1, 1.0, 1.5, 1.999999999, 2.0, 2.000000001, 2.5, 3.0,
+    4.0, 10.0, 1e3, 1e8, 1e16, 1e100, 1e300])
+def test_bubble_moment_against_mpmath(ratio):
+    # series below r = 2, closed form from there, against 40-digit quadrature
+    with mpmath.workdps(40):
+        r = mpmath.mpf(ratio)
+        cuts = [0, 1 / r, 0.5] if ratio > 2 else [0, 0.5]
+        want = 2 * mpmath.quad(lambda x: x * (1 - x) * mpmath.log1p(r * x * (1 - x)),
+                               cuts)
+        assert abs(bubble_moment(ratio, 1.0) - want) <= 1e-14 * want
 
 
 def test_bubble_moment_edges():
