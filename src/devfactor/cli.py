@@ -32,8 +32,7 @@ from .expansions import (
     AsymptoticExpansion,
     CouplingSeries,
     deviation_factor,
-    regularize_term,
-    series_factor,
+    regularize_series,
 )
 from .dirac import eigensystem, hamiltonian
 from .fitting import (
@@ -68,20 +67,15 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"bad number list {text!r}: {exc}")
 
 
-def _four_vector(text):
-    vals = _float_list(text)
-    if len(vals) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected 4 comma-separated components, got {len(vals)}")
-    return vals
-
-
-def _three_vector(text):
-    vals = _float_list(text)
-    if len(vals) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected 3 comma-separated components, got {len(vals)}")
-    return vals
+def _vector(length):
+    """Parser of a comma-separated vector with the given number of components."""
+    def parse(text):
+        vals = _float_list(text)
+        if len(vals) != length:
+            raise argparse.ArgumentTypeError(
+                f"expected {length} comma-separated components, got {len(vals)}")
+        return vals
+    return parse
 
 
 def _measure_pairs(text):
@@ -180,6 +174,12 @@ def _json(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _complex_json(value):
+    """{"re", "im"} of a complex number as floats, of a matrix as nested lists."""
+    value = np.asarray(value)
+    return {"re": value.real.tolist(), "im": value.imag.tolist()}
+
+
 def _plot(stem, xs, ys):
     """Two-column (x, re) and (x, im) data files plus a gnuplot stub."""
     ys = np.asarray(ys, dtype=complex)
@@ -228,12 +228,9 @@ def cmd_spectral(args):
         "m": args.m,
         "degenerate": es.degenerate,
         "eigenvalues": [float(v) for v in es.eigenvalues],
-        "eigenvectors": {"re": es.eigenvectors.real.tolist(),
-                         "im": es.eigenvectors.imag.tolist()},
-        "negative_subspace": {"re": es.m1.real.tolist(),
-                              "im": es.m1.imag.tolist()},
-        "positive_subspace": {"re": es.m2.real.tolist(),
-                              "im": es.m2.imag.tolist()},
+        "eigenvectors": _complex_json(es.eigenvectors),
+        "negative_subspace": _complex_json(es.m1),
+        "positive_subspace": _complex_json(es.m2),
         "eigen_residual": residual,
         "h_squared_defect": hsq_defect,
     }
@@ -315,22 +312,23 @@ def cmd_regularize(args):
         raise ValueError("need at least one regulator value")
     if not all(l > 0 for l in lambdas):
         raise ValueError("regulator values must be positive")
-    factor = series_factor(series)
     evaluations = []
     for lam in lambdas:
-        regular = [regularize_term(a, lam) for a in series.coefficients]
+        # the factor does not depend on lam
+        factor, regular = regularize_series(series, lam)
         raw = series.value_at(lam)
-        tilde = 1.0 + sum((series.coupling ** m) * r
-                          for m, r in enumerate(regular, start=1))
-        recon = factor.evaluate(lam) * tilde
+        tilde = np.eye(series.dim) + sum(
+            (series.coupling ** m) * np.atleast_2d(r)
+            for m, r in enumerate(regular, start=1))
+        recon = np.atleast_2d(factor.evaluate(lam)) @ tilde
         evaluations.append({
             "lambda": lam,
-            "raw": {"re": float(np.real(raw)), "im": float(np.imag(raw))},
-            "regular_terms": [
-                {"re": float(np.real(r)), "im": float(np.imag(r))}
-                for r in regular
-            ],
-            "reconstruction_residual": float(abs(raw - recon)),
+            "raw": _complex_json(raw),
+            "regular_terms": [_complex_json(r) for r in regular],
+            # Frobenius norm by hypot, which squares nothing and so cannot
+            # overflow where the entries do not
+            "reconstruction_residual": math.hypot(
+                *map(abs, (np.atleast_2d(raw) - recon).ravel().tolist())),
         })
     obj = {
         "schema_version": SCHEMA_VERSION,
@@ -413,14 +411,14 @@ def build_parser():
 
     p = sub.add_parser("spectral", help="free Dirac eigensystem at one momentum")
     common(p, "spectral")
-    p.add_argument("--q", type=_three_vector, required=True,
+    p.add_argument("--q", type=_vector(3), required=True,
                    help="3-momentum, comma separated")
     p.add_argument("--m", type=float, required=True, help="mass")
 
     p = sub.add_parser("ladder", help="ball-cutoff integral ladder to CSV")
     common(p, "ladder")
     p.add_argument("--integrand", choices=_INTEGRANDS, default="shifted")
-    p.add_argument("--p", type=_four_vector, default=(0.0, 0.0, 0.0, 0.0),
+    p.add_argument("--p", type=_vector(4), default=(0.0, 0.0, 0.0, 0.0),
                    help="denominator shift 4-vector")
     p.add_argument("--ell", type=float, default=1.0,
                    help="denominator constant")
@@ -450,7 +448,7 @@ def build_parser():
     common(p, "example")
     p.add_argument("--id", required=True,
                    help="5.1/electron, 5.3/photon, 5.6/vertex")
-    p.add_argument("--p", type=_four_vector, default=(1.0, 0.0, 0.0, 0.0),
+    p.add_argument("--p", type=_vector(4), default=(1.0, 0.0, 0.0, 0.0),
                    help="electron: external momentum")
     p.add_argument("--p2", type=float, default=1.0,
                    help="photon: squared momentum")

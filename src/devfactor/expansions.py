@@ -90,14 +90,21 @@ class BasisFunction:
 
     def value(self, lam, reference_scale=1.0):
         """Evaluate at a finite regulator value lam > 0.  The reference scale
-        rescales the argument of the logarithm only, never the power."""
+        rescales the argument of the logarithm only, never the power.  A value
+        beyond the doubles raises OverflowError naming the function and lam."""
         if not 0 < lam < math.inf:
             raise ValueError(f"regulator value must be positive and finite, got {lam}")
         if reference_scale <= 0:
             raise ValueError(f"reference scale must be positive, got {reference_scale}")
-        out = float(lam) ** float(self.power)
+        try:
+            out = float(lam) ** float(self.power)
+        except OverflowError:
+            out = math.inf
         if self.logpower:
             out *= math.log(lam / reference_scale) ** self.logpower
+        if not math.isfinite(out):
+            raise OverflowError(
+                f"basis function {self} overflows at regulator value {lam}")
         return out
 
     def _sort_key(self):

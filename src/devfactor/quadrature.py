@@ -7,6 +7,11 @@ hands it a panel sampler: the integrand at the nodes of a segment, or r^3
 times the 3-sphere averages at the radii of a 4-ball, to which the 4-ball
 integral is reduced.
 
+One contract covers every integrand a caller passes, on a segment or in a
+ball: it maps an array of points, (N,) or (N, 4), to an array of N values.
+_evaluate calls it once per panel and refuses any other shape, and any NaN
+or infinity, naming the point.
+
 Every ball integrand is axially symmetric: it depends on k only through k.k
 and the component of k along one axis, as every Feynman-parametrized
 integrand does (through k.k and p.k).  The built-in integrand descriptions
@@ -32,7 +37,6 @@ import numpy as np
 from . import _kernels
 
 FOUR_PI = 4.0 * math.pi
-S3_AREA = 2.0 * math.pi ** 2
 
 KIND_ONE = _kernels.KIND_ONE
 KIND_INV_SQUARE = _kernels.KIND_INV_SQUARE
@@ -122,25 +126,29 @@ def chebyshev_pair(n):
     return nodes, w_fine, w_coarse
 
 
-def _eval_1d(f, xs):
-    """Vectorized evaluation with a scalar fallback; checks finiteness."""
-    try:
-        ys = np.asarray(f(xs))
-        if ys.shape != xs.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        ys = np.asarray([f(float(x)) for x in xs])
-    if not np.all(np.isfinite(ys)):
-        bad = int(np.argwhere(~np.isfinite(np.atleast_1d(ys)))[0][0])
-        raise NonFiniteIntegrandError("integrand is not finite", (float(xs[bad]),))
-    return ys
+def _evaluate(f, pts):
+    """f at a panel's points, (N,) on a segment or (N, 4) in a ball, in one
+    call: its values, refused unless they have shape (N,) and are finite."""
+    vals = np.asarray(f(pts))
+    if vals.shape != pts.shape[:1]:
+        raise ValueError(
+            f"integrand must map points of shape {pts.shape} to values of "
+            f"shape {pts.shape[:1]}, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argwhere(~np.isfinite(vals))[0][0])
+        raise NonFiniteIntegrandError(
+            "integrand is not finite",
+            tuple(float(c) for c in np.atleast_1d(pts[bad])))
+    return vals
 
 
 def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
                       max_evals=_DEFAULT_SEGMENT_EVALS):
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
-    Stops when the summed error estimate falls below max(abs_tol, tol * |I|).
+    f maps an array of points, shape (N,), to an array of N values; a
+    scalar function is refused, not looped over.  Stops when the summed
+    error estimate falls below max(abs_tol, tol * |I|).
     Integrable endpoint singularities need no option (ln u takes 825
     evaluations, u^-1/2 1725), but f must be finite at every node.  A budget
     below one 15-node panel gives 0.0, unconverged, after no evaluation.
@@ -152,7 +160,7 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
     _check_tolerances(tol, abs_tol)
     value, err, _, converged, neval = _refine(
-        lambda x, _: (_eval_1d(f, x), None), 1, a, b, tol, abs_tol, max_evals)
+        lambda x, _: (_evaluate(f, x), None), 1, a, b, tol, abs_tol, max_evals)
     return QuadratureResult(value, err, converged, neval)
 
 
@@ -289,7 +297,6 @@ class BallIntegrand:
     kind: int
     p_vec: tuple
     ell: float
-    label: str
 
     @functools.cached_property
     def p_mag(self):
@@ -321,7 +328,7 @@ class BallIntegrand:
 
 def unit_integrand():
     """The constant 1; its ball integral is the 4-ball volume pi^2 L^4 / 2."""
-    return BallIntegrand(KIND_ONE, (0.0, 0.0, 0.0, 0.0), 0.0, "1")
+    return BallIntegrand(KIND_ONE, (0.0, 0.0, 0.0, 0.0), 0.0)
 
 
 def _check_shift(p, ell):
@@ -338,28 +345,13 @@ def _check_shift(p, ell):
 def shifted_denominator_integrand(p, ell):
     """1 / (k.k - 2 p.k + ell)^2 with ell - |p|^2 > 0."""
     pt = _check_shift(p, ell)
-    return BallIntegrand(KIND_INV_SQUARE, pt, float(ell),
-                         f"(k^2 - 2 p.k + {ell})^-2")
+    return BallIntegrand(KIND_INV_SQUARE, pt, float(ell))
 
 
 def shifted_component_integrand(p, ell):
     """Component of k along p divided by the squared shifted denominator."""
     pt = _check_shift(p, ell)
-    return BallIntegrand(KIND_AXIAL_COMPONENT, pt, float(ell),
-                         f"(k.p/|p|) (k^2 - 2 p.k + {ell})^-2")
-
-
-def _eval_points(f, pts):
-    vals = np.asarray(f(pts))
-    if vals.shape != (pts.shape[0],):
-        raise ValueError(
-            f"callable integrand must map (N, 4) points to (N,) values, "
-            f"got shape {vals.shape} for {pts.shape[0]} points")
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argwhere(~np.isfinite(vals))[0][0])
-        raise NonFiniteIntegrandError(
-            "integrand is not finite", tuple(float(c) for c in pts[bad]))
-    return vals
+    return BallIntegrand(KIND_AXIAL_COMPONENT, pt, float(ell))
 
 
 def _check_radius(radius):
@@ -399,8 +391,6 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
             raise ValueError(
                 "a callable integrand needs its symmetry axis: pass axis=p "
                 "for a function of k.k and p.k")
-        # _adaptive_radial normalizes the unit axis once more; results depend
-        # on that rounding, so keep both steps
         axis = _unit(axis)
 
     value, rad_err, ang_err, ok, neval = _adaptive_radial(
@@ -411,10 +401,11 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
 def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
     """Worst-first radial refinement over [inner, radius] of r^3 times the
     3-sphere average 4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the
-    average in closed form; a callable is averaged along its axis by the
-    embedded Chebyshev pair, from order _AXIAL_ORDER at 2 n + 1 points per
-    radius up to whatever order each panel's refinement reaches.  Returns
-    (value, radial error, angular error, converged, nevals)."""
+    average in closed form; a callable is averaged along its axis, a unit
+    vector, by the embedded Chebyshev pair, from order _AXIAL_ORDER at
+    2 n + 1 points per radius up to whatever order each panel's refinement
+    reaches.  Returns (value, radial error, angular error, converged,
+    nevals)."""
     if isinstance(f, BallIntegrand):
         x = chebyshev_pair(_AXIAL_ORDER)[0]
 
@@ -429,7 +420,7 @@ def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
 
         return _refine(sample, 1, inner, radius, tol, 0.0, max_evals)
 
-    a_hat = _unit(axis)
+    partner = _orthonormal_to(axis)
     rules = {}
 
     def sample(r, points):
@@ -438,11 +429,11 @@ def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
             # order (a dict: a cache decorator per call costs more to build)
             x, w_fine, w_coarse = chebyshev_pair((points - 1) // 2)
             s = np.sqrt(1.0 - x ** 2)
-            dirs = x[:, None] * a_hat + s[:, None] * _orthonormal_to(a_hat)
+            dirs = x[:, None] * axis + s[:, None] * partner
             rules[points] = dirs, w_fine, w_coarse
         dirs, w_fine, w_coarse = rules[points]
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
-        vals = _eval_points(f, pts).reshape(r.size, points)
+        vals = _evaluate(f, pts).reshape(r.size, points)
         r3 = r ** 3
         return r3 * (FOUR_PI * (vals @ w_fine)), r3 * (FOUR_PI * (vals @ w_coarse))
 

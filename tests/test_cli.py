@@ -395,6 +395,68 @@ def test_overflowing_result_writes_nothing_exit_3(tmp_path, capsys,
                                             "quadratic.json"]
 
 
+@pytest.mark.parametrize("line, names", [
+    ("regularize --infile quadratic.json --lambdas 1e200", ("L^2", "1e+200")),
+    ("example --id photon --p2 1e308 --m 0.1", ("p^2/m^2", "1e+308")),
+], ids=["basis-function", "photon-mass-ratio"])
+def test_overflow_message_names_the_quantity(tmp_path, capsys, monkeypatch,
+                                             line, names):
+    monkeypatch.chdir(tmp_path)
+    a = AsymptoticExpansion(ULTRAVIOLET, {QUADRATIC: 1j, CONSTANT: 0.3})
+    (tmp_path / "quadratic.json").write_text(json.dumps(
+        {"coupling": 0.1, "coefficients": [a.to_json_dict()]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(line.split() + ["--out", "out"])
+    assert rc == 3
+    assert caught == []
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    for name in names:
+        assert name in message
+    assert os.listdir(tmp_path) == ["quadratic.json"]
+
+
+def _matrix_series_file(path, log_coefficient):
+    a = AsymptoticExpansion(ULTRAVIOLET, {
+        LOG: log_coefficient, CONSTANT: np.array([[0.3, 0.1], [0.1, -0.2]])})
+    path.write_text(json.dumps({"coupling": 0.1,
+                                "coefficients": [a.to_json_dict()]}))
+    return a
+
+
+def test_regularize_matrix_series(tmp_path):
+    # U(L) regular(L) = raw(L) to second order in the absorbed exponent x:
+    # ||U (1 + r) - raw|| <= |x| (|x|/2 + |r|), the bound of the scalar and
+    # 4x4 property in test_expansions
+    a = _matrix_series_file(tmp_path / "series.json", 1j * np.diag([0.1, 0.2]))
+    rc = main(["regularize", "--infile", str(tmp_path / "series.json"),
+               "--lambdas", "100,1e6", "--out", str(tmp_path)])
+    assert rc == 0
+    obj = read_json(tmp_path / "regularize.json")
+    assert obj["factor"]["dim"] == 2
+    for ev in obj["evaluations"]:
+        lam = ev["lambda"]
+        raw = np.array(ev["raw"]["re"]) + 1j * np.array(ev["raw"]["im"])
+        assert np.allclose(raw, np.eye(2) + 0.1 * a.value_at(lam),
+                           rtol=0, atol=1e-15)
+        (term,) = ev["regular_terms"]
+        regular = np.array(term["re"]) + 1j * np.array(term["im"])
+        assert np.array_equal(regular, a.finite_part())
+        nx = np.linalg.norm(0.1 * a.divergent_part().value_at(lam))
+        nr = np.linalg.norm(0.1 * regular)
+        assert 0 < ev["reconstruction_residual"] <= nx * (nx / 2 + nr) + 1e-14
+
+
+def test_regularize_hermitian_matrix_divergence_exit_3(tmp_path, capsys):
+    _matrix_series_file(tmp_path / "series.json", np.diag([0.1, 0.2]))
+    rc = main(["regularize", "--infile", str(tmp_path / "series.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out)
+    assert "not absorbable" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def _write_mode_opens(node):
     """open() calls under node whose mode is not a literal read mode."""
     for call in ast.walk(node):
@@ -637,6 +699,15 @@ def test_argparse_error_exit_2(capsys):
     assert main(["ladder", "--points", "three"]) == 2
     assert main(["unknown-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, length", [
+    (["spectral", "--m", "1", "--q", "1,2,3,4"], 3),
+    (["ladder", "--p", "1,2,3"], 4),
+    (["example", "--id", "electron", "--p", "1,2,3,4,5"], 4)])
+def test_vector_flags_take_their_length(capsys, argv, length):
+    assert main(argv) == 2
+    assert f"expected {length} comma-separated components" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- reuse

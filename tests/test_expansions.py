@@ -68,6 +68,15 @@ def test_basis_log_reference_scale_only_shifts_logs():
     assert LINEAR.value(100.0, reference_scale=10.0) == 100.0
 
 
+def test_basis_function_overflow_names_itself():
+    # a power that overflows, and a finite power times a log power that does
+    with pytest.raises(OverflowError, match=r"L\^2 overflows at regulator value 1e\+200"):
+        QUADRATIC.value(1e200)
+    with pytest.raises(OverflowError, match=r"L\*ln\^8 overflows at regulator value 1e\+300"):
+        BasisFunction(1, 8).value(1e300)
+    assert QUADRATIC.value(1e154) == 1e154 ** 2
+
+
 def test_basis_function_classification():
     assert QUADRATIC.divergent and LINEAR.divergent and LOG.divergent
     assert LOG2.divergent

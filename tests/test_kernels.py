@@ -152,7 +152,7 @@ def test_nonfinite_location_reported():
 
     # the reducer reports the point r * axis of that sphere
     axis = np.array([0.0, 0.6, 0.8, 0.0])
-    f = BallIntegrand(KIND_INV_SQUARE, tuple(axis), 0.5, "pole")
+    f = BallIntegrand(KIND_INV_SQUARE, tuple(axis), 0.5)
     with pytest.raises(NonFiniteIntegrandError) as err:
         ball4_integrate(f, 3.0)
     loc = np.asarray(err.value.location)

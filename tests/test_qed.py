@@ -14,6 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from devfactor import qed
 from devfactor.dirac import GAMMA, I4, slash
 from devfactor.expansions import CONSTANT, LOG, BasisFunction
 from devfactor.qed import (
@@ -162,11 +163,14 @@ def test_electron_quadrature_cross_check():
 
 
 def test_electron_ladder_cross_checks():
+    # fitted on (ln, 1, L^-2, L^-4), the terms the integrals have, the
+    # coefficients sit within 1.3e-8 of the closed asymptotes here; the
+    # former basis (ln, 1, 1/L, 1/L^2) was 3.9e-5 off
     rep = electron_self_energy(np.array([0.2, 0.1, -0.3, 0.4]), 1.0, 0.3,
                                cross_check_ladder=True)
     for key in ("ladder_log_scalar", "ladder_const_scalar",
                 "ladder_log_vector", "ladder_const_vector"):
-        assert rep.cross_checks[key] <= 1e-3, key
+        assert rep.cross_checks[key] <= 1e-7, key
 
 
 def test_electron_kinematics_and_id():
@@ -269,13 +273,26 @@ def test_photon_regular_part():
 
 
 def test_photon_cross_checks():
-    rep = photon_self_energy(0.01, 1.0, 0.4)
-    assert set(rep.cross_checks) == {"small_ratio_sigma"}
-    assert rep.cross_checks["small_ratio_sigma"] <= 0.02
-    # the closed asymptote grows only logarithmically
-    assert set(rep.expansion.terms) == {LOG, CONSTANT}
-    big = photon_self_energy(4.0, 1.0, 0.4)
-    assert "small_ratio_sigma" not in big.cross_checks
+    # sigma, a series below r = 2 and a closed form above, against adaptive
+    # quadrature of its defining integral, both sides of the switch
+    for p_sq in (1e-3, 0.01, 1.0, 4.0, 1e4, 1e8):
+        rep = photon_self_energy(p_sq, 1.0, 0.4)
+        assert set(rep.cross_checks) == {"bubble_quadrature"}
+        assert rep.cross_checks["bubble_quadrature"] <= 1e-13
+        # the closed asymptote grows only logarithmically
+        assert set(rep.expansion.terms) == {LOG, CONSTANT}
+
+
+def test_photon_cross_check_sees_a_wrong_sigma(monkeypatch):
+    # the quadrature is independent of bubble_moment: a sigma off by 1e-10
+    # shows, where the old r/30 comparison reported 3r/28 whatever sigma was
+    right = bubble_moment
+    monkeypatch.setattr(qed, "bubble_moment",
+                        lambda p_sq, m: right(p_sq, m) * (1.0 + 1e-10))
+    for p_sq in (0.01, 4.0):
+        rep = photon_self_energy(p_sq, 1.0, 0.4)
+        assert rep.cross_checks["bubble_quadrature"] >= 0.9e-10
+    assert photon_self_energy(0.0, 1.0, 0.4).cross_checks == {}
 
 
 def test_photon_degenerate_at_zero_momentum():

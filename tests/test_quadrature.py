@@ -1,6 +1,8 @@
 """Quadrature tests: rule exactness, the segment integrator, and 4-ball
 integrals against closed-form oracles."""
 
+import ast
+import inspect
 import math
 
 import mpmath as mp
@@ -15,7 +17,6 @@ from devfactor.quadrature import (
     G7_WEIGHTS,
     GK_NODES,
     GK_WEIGHTS,
-    S3_AREA,
     BallIntegrand,
     NonFiniteIntegrandError,
     QuadratureResult,
@@ -232,6 +233,41 @@ def test_segment_nonfinite_reports_location():
         segment_integrate(f, 0.0, 1.0, tol=1e-12)
     (where,) = err.value.location
     assert abs(where - 0.5) < 0.02
+
+
+def test_segment_integrand_must_be_vectorized():
+    # f is called once, on a panel's 15 nodes; its own TypeError propagates
+    # instead of being retried point by point
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return math.sin(x)
+
+    with pytest.raises(TypeError):
+        segment_integrate(f, 0.0, 1.0)
+    assert calls == [(15,)]
+
+
+def test_scalar_valued_integrand_is_refused_by_shape():
+    # one check for segments and balls: N points give N values
+    shape_message = (r"integrand must map points of shape \((15|1455), ?4?\) "
+                     r"to values of shape \(\1,\), got shape \(\)")
+    with pytest.raises(ValueError, match=shape_message):
+        segment_integrate(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=shape_message):
+        ball4_integrate(lambda pts: 1.0, 1.0, axis=[1.0, 0.0, 0.0, 0.0])
+
+
+def test_one_function_calls_the_integrand():
+    # every integrand, segment or ball callable, is named f and reaches the
+    # module through one checked call (a call in a nested function counts
+    # for the enclosing one too)
+    tree = ast.parse(inspect.getsource(quadrature))
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "f"]
+    assert callers == ["_evaluate"]
 
 
 def test_segment_budget_exhaustion_reports_nonconverged():
@@ -478,6 +514,28 @@ def test_ball_angular_step_spends_budget_honestly():
     assert abs(res.value - radial * angular) <= res.error
 
 
+def test_callable_axis_is_framed_once_per_ball(monkeypatch):
+    # the axis is normalized and its orthogonal partner built once, however
+    # many angular orders the panels reach
+    f, axis, exact = _peaked_angle()
+    orders = _spy_orders(monkeypatch)
+    calls = []
+
+    def spy(name):
+        real = getattr(quadrature, name)
+
+        def counted(v):
+            calls.append(name)
+            return real(v)
+        return counted
+
+    for name in ("_unit", "_orthonormal_to"):
+        monkeypatch.setattr(quadrature, name, spy(name))
+    res = ball4_integrate(f, 5.0, tol=1e-8, axis=axis)
+    assert res.converged and orders[:2] == [48, 97]
+    assert calls == ["_unit", "_orthonormal_to"]
+
+
 def test_ball_callable_budget_below_one_panel_is_real():
     res = ball4_integrate(lambda pts: np.ones(pts.shape[0]), 30.0, tol=1e-8,
                           axis=[1.0, 0.0, 0.0, 0.0], max_evals=20)
@@ -717,5 +775,4 @@ def test_quadrature_result_fields():
 
 
 def test_area_constants():
-    assert S3_AREA == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
     assert FOUR_PI == pytest.approx(4.0 * math.pi, rel=1e-15)
