@@ -170,8 +170,31 @@ def _finite(x):
 
 
 def _json(obj):
-    """JSON text of a report; a NaN or infinite number raises ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """JSON text of a report; a NaN or infinite number raises ValueError
+    naming the field that holds it."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        field = _nonfinite_field(obj, "")
+        if field is None:
+            raise
+        raise ValueError(f"result field {field[0] or '(top level)'} is not "
+                         f"finite ({field[1]}); nothing was written") from None
+
+
+def _nonfinite_field(obj, path):
+    """(path, value) of the first NaN or infinity in a JSON document, in
+    key order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v)
+                 for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_nonfinite_field(v, p) for p, v in items)), None)
 
 
 def _complex_json(value):

@@ -328,13 +328,19 @@ def check_admissible(divergent, tol=ADMISSIBILITY_TOL):
         if not b.divergent:
             raise ValueError(
                 f"check_admissible expects divergent terms only, got {b}")
-        norm = float(np.linalg.norm(c))
+        # in units of a power of two near the largest entry, so that no norm
+        # overflows and the scaling itself rounds nothing
+        top = float(np.max(np.maximum(np.abs(c.real), np.abs(c.imag))))
+        scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        u = c / scale
+        norm = float(np.linalg.norm(u))
         if divergent.is_scalar:
-            defect = abs(float(c.real[0, 0]))
+            defect = abs(float(u.real[0, 0]))
         else:
-            defect = float(np.linalg.norm(c + c.conj().T))
+            defect = float(np.linalg.norm(u + u.conj().T))
         if defect > tol * norm:
-            violations.append(AdmissibilityViolation(b, defect, norm))
+            violations.append(
+                AdmissibilityViolation(b, scale * defect, scale * norm))
     return Admissibility(passed=not violations, violations=violations, tol=tol)
 
 

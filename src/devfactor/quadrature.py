@@ -9,8 +9,8 @@ integral is reduced.
 
 One contract covers every integrand a caller passes, on a segment or in a
 ball: it maps an array of points, (N,) or (N, 4), to an array of N values.
-_evaluate calls it once per panel and refuses any other shape, and any NaN
-or infinity, naming the point.
+_evaluate calls it once per panel, or per chunk of whole radii, and refuses
+any other shape, and any NaN or infinity, naming the point.
 
 Every ball integrand is axially symmetric: it depends on k only through k.k
 and the component of k along one axis, as every Feynman-parametrized
@@ -20,9 +20,11 @@ elementary 3-sphere averages, which ``_kernels.reduce_axial`` evaluates in
 closed form: one evaluation per radius and no angular error.  A callable must
 name its symmetry axis; it is averaged over the axial cosine by an embedded
 pair of Gauss-Chebyshev rules, whose coarse/fine difference feeds a separate
-angular error estimate.  The angular order belongs to each radial panel: the
-same worst-first loop that bisects a panel whose radial error dominates
-doubles the order of one whose angular error does.
+angular error estimate.  The angular order belongs to each radial panel and
+starts low, at order 8 (17 points per radius): the same worst-first loop that
+bisects a panel whose radial error dominates doubles the order of one whose
+angular error does, n -> 2n + 1.  The orders nest, so a doubled panel keeps
+its samples and evaluates only its 2n + 2 new nodes per radius.
 """
 
 from __future__ import annotations
@@ -83,7 +85,12 @@ G7_WEIGHTS[1:14:2] = np.concatenate([_WG_POS[:-1], _WG_POS[::-1]])
 _DEFAULT_SEGMENT_EVALS = 200_000
 _DEFAULT_BALL_EVALS = 1_000_000
 
-_AXIAL_ORDER = 48
+# Starting angular order of a callable's panels (2n + 1 = 17 points per
+# radius); a panel doubles it where its angular error asks for more.
+_AXIAL_ORDER = 8
+# Points per integrand call, at most (but always at least one radius): a
+# callable's panel at a high angular order is sampled in chunks of radii.
+_CHUNK_POINTS = 2 ** 16
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -128,7 +135,8 @@ def chebyshev_pair(n):
 
 def _evaluate(f, pts):
     """f at a panel's points, (N,) on a segment or (N, 4) in a ball, in one
-    call: its values, refused unless they have shape (N,) and are finite."""
+    call per panel, or per chunk of whole radii: its values, refused unless
+    they have shape (N,) and are finite."""
     vals = np.asarray(f(pts))
     if vals.shape != pts.shape[:1]:
         raise ValueError(
@@ -160,7 +168,8 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
     _check_tolerances(tol, abs_tol)
     value, err, _, converged, neval = _refine(
-        lambda x, _: (_evaluate(f, x), None), 1, a, b, tol, abs_tol, max_evals)
+        lambda x, points, kept: (_evaluate(f, x), None, None),
+        1, a, b, tol, abs_tol, max_evals)
     return QuadratureResult(value, err, converged, neval)
 
 
@@ -175,13 +184,16 @@ def _check_tolerances(tol, abs_tol=0.0):
 def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     """Worst-first adaptive Gauss-Kronrod refinement of [a, b] (QUADPACK QAG).
 
-    sample(x, points) maps a panel's 15 Kronrod nodes to (values, coarse) at
-    a cost of `points` evaluations per node; coarse is None for exact values,
-    else a cruder estimate whose weighted distance from them is the angular
-    error.  Each panel keeps its own points, starting from the given one.
-    The panel with the largest |Kronrod - Gauss| plus angular error is
-    refined: resampled at 2 points + 1 per node when its angular error is the
-    larger, else bisected.  A resample whose angular error did not fall is
+    sample(x, points, kept) maps a panel's 15 Kronrod nodes to (values,
+    coarse, kept) at a cost of `points` evaluations per node; coarse is None
+    for exact values, else a cruder estimate whose weighted distance from
+    them is the angular error, and kept is what the sampler needs to reuse
+    these samples (None if nothing).  Each panel keeps its own points,
+    starting from the given one.  The panel with the largest |Kronrod -
+    Gauss| plus angular error is refined: resampled at 2 points + 1 per node
+    when its angular error is the larger, else bisected.  A resample gets the
+    panel's kept samples back and is charged only the points + 1 new
+    evaluations per node.  A resample whose angular error did not fall is
     frozen, as is a panel too narrow to bisect in floating point: the finer
     step no longer helps.  Refinement ends when the summed errors meet
     max(abs_tol, tol * |value|) (converged), or unconverged when no panel is
@@ -196,16 +208,17 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
         return 0.0, math.inf, math.inf, False, 0
     complex_seen = False
 
-    def panel(lo, hi, points):
+    def panel(lo, hi, points, kept=None):
         nonlocal complex_seen
         h = 0.5 * (hi - lo)
-        fine, coarse = sample(0.5 * (lo + hi) + h * GK_NODES, points)
+        fine, coarse, kept = sample(0.5 * (lo + hi) + h * GK_NODES, points, kept)
         if np.iscomplexobj(fine):
             complex_seen = True
         k = h * np.dot(GK_WEIGHTS, fine)
         ang = 0.0 if coarse is None else float(
             h * np.dot(GK_WEIGHTS, np.abs(fine - coarse)))
-        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, fine)), ang, points)
+        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, fine)), ang, points,
+                kept)
 
     neval = nodes * points
     counter = 0
@@ -230,26 +243,26 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
             converged = False
             break
         old = heap[0][2]
-        lo, hi, _, rad, ang, pts = old
+        lo, hi, _, rad, ang, pts, kept = old
         resample = ang > rad
-        cost = nodes * (2 * pts + 1 if resample else 2 * pts)
+        cost = nodes * (pts + 1 if resample else 2 * pts)
         if neval + cost > max_evals:
             converged = False
             break
         heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if resample:
-            pieces = [panel(lo, hi, 2 * pts + 1)]
+            pieces = [panel(lo, hi, 2 * pts + 1, kept)]
         elif lo < mid < hi:
             pieces = [panel(lo, mid, pts), panel(mid, hi, pts)]
         else:
-            frozen.append(old)
+            frozen.append(old[:6])  # a frozen panel's samples are not reused
             continue
         total -= old[2]
         err -= rad + ang
         for piece in pieces:
             if resample and piece[4] >= ang:
-                frozen.append(piece)
+                frozen.append(piece[:6])
             else:
                 counter += 1
                 heapq.heappush(heap, (-(piece[3] + piece[4]), counter, piece))
@@ -282,6 +295,29 @@ def _orthonormal_to(axis):
     trial[int(np.argmin(np.abs(axis)))] = 1.0
     v = trial - np.dot(trial, axis) * axis
     return v / np.linalg.norm(v)
+
+
+class _AxisFrame:
+    """A callable's symmetry axis, normalized, with an orthonormal partner,
+    and per angular order the unit directions at the fine Chebyshev nodes,
+    built on first use.  cutoff_ladder frames an axis once and hands the
+    frame to every shell; the direction tables are read-only."""
+
+    def __init__(self, axis):
+        self.axis = _unit(axis)
+        self.partner = _orthonormal_to(self.axis)
+        self._rules = {}
+
+    def rule(self, points):
+        """(directions, fine weights, coarse weights) of the Chebyshev pair
+        with `points` fine nodes."""
+        if points not in self._rules:
+            x, w_fine, w_coarse = chebyshev_pair((points - 1) // 2)
+            s = np.sqrt(1.0 - x ** 2)
+            dirs = x[:, None] * self.axis + s[:, None] * self.partner
+            dirs.flags.writeable = False
+            self._rules[points] = dirs, w_fine, w_coarse
+        return self._rules[points]
 
 
 @dataclass(frozen=True)
@@ -373,15 +409,15 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
 
     f is either a built-in BallIntegrand (closed-form angular averages) or a
     callable on (N, 4) point arrays that depends on k only through k.k and
-    k.axis; the callable needs that axis.  The radial direction is adapted
-    with Gauss-Kronrod panels until the error estimate is at most
-    tol * |value|: the tolerance is relative only, so an integral that
-    vanishes converges only if it is exactly zero with zero error.  A
-    callable's panel doubles its own angular order where the angular error
-    estimate exceeds the radial one, in the same worst-first loop and within
-    the same budget.  The radius must leave the ball's volume scale
-    pi^2 radius^4 finite.  _inner, for cutoff_ladder only, integrates over
-    the shell between it and the radius instead.
+    k.axis; the callable needs that axis (cutoff_ladder passes it framed).
+    The radial direction is adapted with Gauss-Kronrod panels until the
+    error estimate is at most tol * |value|: the tolerance is relative only,
+    so an integral that vanishes converges only if it is exactly zero with
+    zero error.  A callable's panel starts at angular order 8 and doubles
+    it where the angular error estimate exceeds the radial one, in the same
+    worst-first loop and within the same budget.  The radius must leave the
+    ball's volume scale pi^2 radius^4 finite.  _inner, for cutoff_ladder
+    only, integrates over the shell between it and the radius instead.
     """
     radius = _check_radius(radius)
     _check_tolerances(tol)
@@ -391,7 +427,8 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
             raise ValueError(
                 "a callable integrand needs its symmetry axis: pass axis=p "
                 "for a function of k.k and p.k")
-        axis = _unit(axis)
+        if not isinstance(axis, _AxisFrame):
+            axis = _AxisFrame(axis)
 
     value, rad_err, ang_err, ok, neval = _adaptive_radial(
         f, axis, radius, tol, _inner, max_evals)
@@ -401,41 +438,46 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
 def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
     """Worst-first radial refinement over [inner, radius] of r^3 times the
     3-sphere average 4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the
-    average in closed form; a callable is averaged along its axis, a unit
-    vector, by the embedded Chebyshev pair, from order _AXIAL_ORDER at
-    2 n + 1 points per radius up to whatever order each panel's refinement
-    reaches.  Returns (value, radial error, angular error, converged,
-    nevals)."""
+    average in closed form; a callable is averaged along its axis, an
+    _AxisFrame, by the embedded Chebyshev pair, from order _AXIAL_ORDER = 8
+    at 2 n + 1 = 17 points per radius up to whatever order each panel's
+    refinement reaches.  A doubling n -> 2n + 1 keeps the panel's samples:
+    the old fine nodes are bitwise the odd fine nodes of the new order, so
+    only the 2n + 2 even ones are evaluated and charged.  The points go to f
+    in chunks of whole radii, at most _CHUNK_POINTS per call unless one
+    radius has more.  Returns (value, radial error, angular error,
+    converged, nevals)."""
     if isinstance(f, BallIntegrand):
         x = chebyshev_pair(_AXIAL_ORDER)[0]
 
-        def sample(r, points):
+        def sample(r, points, kept):
             avg, bad = _kernels.reduce_axial(f.kind, f.p_mag, f.ell, r, x)
             if bad is not None:
                 # the denominator is smallest on the axis of that sphere
                 raise NonFiniteIntegrandError(
                     "integrand is not finite",
                     tuple(float(c) for c in bad * f.axis))
-            return r ** 3 * (FOUR_PI * avg), None
+            return r ** 3 * (FOUR_PI * avg), None, None
 
         return _refine(sample, 1, inner, radius, tol, 0.0, max_evals)
 
-    partner = _orthonormal_to(axis)
-    rules = {}
-
-    def sample(r, points):
-        if points not in rules:
-            # unit directions at the fine nodes, shared by every panel of an
-            # order (a dict: a cache decorator per call costs more to build)
-            x, w_fine, w_coarse = chebyshev_pair((points - 1) // 2)
-            s = np.sqrt(1.0 - x ** 2)
-            dirs = x[:, None] * axis + s[:, None] * partner
-            rules[points] = dirs, w_fine, w_coarse
-        dirs, w_fine, w_coarse = rules[points]
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 4)
-        vals = _evaluate(f, pts).reshape(r.size, points)
+    def sample(r, points, kept):
+        dirs, w_fine, w_coarse = axis.rule(points)
+        if kept is not None:
+            dirs = dirs[0::2]  # the nodes that are new at this order
+        width = dirs.shape[0]
+        step = max(1, _CHUNK_POINTS // width)
+        vals = np.concatenate([
+            _evaluate(f, (r[i:i + step, None, None] * dirs).reshape(-1, 4))
+            .reshape(-1, width) for i in range(0, r.size, step)])
+        if kept is not None:
+            new = vals
+            vals = np.empty((r.size, points), np.result_type(new, kept))
+            vals[:, 0::2] = new
+            vals[:, 1::2] = kept
         r3 = r ** 3
-        return r3 * (FOUR_PI * (vals @ w_fine)), r3 * (FOUR_PI * (vals @ w_coarse))
+        return (r3 * (FOUR_PI * (vals @ w_fine)),
+                r3 * (FOUR_PI * (vals @ w_coarse)), vals)
 
     return _refine(sample, 2 * _AXIAL_ORDER + 1, inner, radius, tol, 0.0, max_evals)
 
@@ -480,11 +522,13 @@ def cutoff_ladder(f, radii, tol=1e-8, **kwargs):
     relative only: a rung is converged only if every shell up to it
     converged and its summed error is at most tol * |value|, so a rung where
     the sum passes near zero is not.  Every radius is checked before the
-    first integral.
+    first integral.  A callable's axis is framed once, for every shell.
     """
     radii = [_check_radius(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("cutoff radii must be strictly increasing")
+    if not isinstance(f, BallIntegrand) and kwargs.get("axis") is not None:
+        kwargs["axis"] = _AxisFrame(kwargs["axis"])
     values = []
     errors = []
     flags = []

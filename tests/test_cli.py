@@ -416,6 +416,43 @@ def test_overflow_message_names_the_quantity(tmp_path, capsys, monkeypatch,
     assert os.listdir(tmp_path) == ["quadratic.json"]
 
 
+def test_huge_real_log_coefficient_is_not_absorbable_exit_3(tmp_path, capsys):
+    # the admissibility norms must not overflow: a real 1e200 log
+    # coefficient used to pass and give a factor with no terms
+    a = AsymptoticExpansion(ULTRAVIOLET, {LOG: 1e200, CONSTANT: 0.1})
+    (tmp_path / "series.json").write_text(json.dumps(
+        {"coupling": 0.1, "coefficients": [a.to_json_dict()]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["regularize", "--infile", str(tmp_path / "series.json"),
+                   "--lambdas", "100", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert caught == []
+    err = json.loads(capsys.readouterr().out)
+    assert "not absorbable" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonfinite_json_refusal_names_the_field(tmp_path, capsys):
+    # raw = 1 + 0.1 * 1e300i * (1e100)^2 overflows in its imaginary part
+    a = AsymptoticExpansion(ULTRAVIOLET, {QUADRATIC: 1e300j, CONSTANT: 0.1})
+    (tmp_path / "series.json").write_text(json.dumps(
+        {"coupling": 0.1, "coefficients": [a.to_json_dict()]}))
+    rc = main(["regularize", "--infile", str(tmp_path / "series.json"),
+               "--lambdas", "1e100", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert "evaluations[0].raw.im" in message and "inf" in message
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonfinite_field_paths():
+    assert cli._nonfinite_field({"a": [1.0, {"b": 2.0}]}, "") is None
+    assert cli._nonfinite_field({"z": math.nan, "a": [1.0, {"b": -math.inf}]},
+                                "") == ("a[1].b", -math.inf)
+    assert cli._nonfinite_field([[0.0, math.inf]], "") == ("[0][1]", math.inf)
+
+
 def _matrix_series_file(path, log_coefficient):
     a = AsymptoticExpansion(ULTRAVIOLET, {
         LOG: log_coefficient, CONSTANT: np.array([[0.3, 0.1], [0.1, -0.2]])})

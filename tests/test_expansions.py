@@ -8,6 +8,7 @@ skew-Hermitian matrices.
 import cmath
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,29 @@ def test_admissible_random_skew_and_perturbed():
         spoiled = c + 1e-6 * np.linalg.norm(c) * np.eye(4)
         assert not check_admissible(
             AsymptoticExpansion(ULTRAVIOLET, {LOG: spoiled})).passed
+
+
+def test_admissible_check_does_not_overflow_on_huge_coefficients():
+    # the norms are taken in units of the largest entry: a real coefficient
+    # far above 1e154 is refused, an imaginary one passes, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = check_admissible(AsymptoticExpansion(ULTRAVIOLET, {LOG: 1e200}))
+        assert not bad.passed
+        assert bad.violations[0].hermitian_defect == pytest.approx(1e200)
+        assert check_admissible(
+            AsymptoticExpansion(ULTRAVIOLET, {LOG: 1e300j})).passed
+        huge = 1e300 * (0.7j * I4)
+        assert check_admissible(AsymptoticExpansion(ULTRAVIOLET, {LOG: huge})).passed
+        assert not check_admissible(
+            AsymptoticExpansion(ULTRAVIOLET, {LOG: huge + 1e290 * I4})).passed
+    with pytest.raises(AdmissibilityError):
+        deviation_factor(AsymptoticExpansion(ULTRAVIOLET, {LOG: 1e200}))
+    # the scale is a power of two: reported norms are those of c itself
+    c = 0.7 * gamma(4) + 0.3j * I4
+    (v,) = check_admissible(AsymptoticExpansion(ULTRAVIOLET, {LOG: c})).violations
+    assert v.coefficient_norm == float(np.linalg.norm(c))
+    assert v.hermitian_defect == float(np.linalg.norm(c + c.conj().T))
 
 
 def test_admissible_rejects_convergent_input():
