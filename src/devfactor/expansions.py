@@ -62,7 +62,10 @@ def _as_power(value):
 
 @dataclass(frozen=True)
 class BasisFunction:
-    """One basis function Lambda^power * ln^logpower(Lambda / reference)."""
+    """One basis function Lambda^power * ln^logpower(Lambda / reference).
+
+    Immutable, so its hash, float_power (the power as a float), divergent
+    flag and sort key are computed once, on construction."""
 
     power: Fraction
     logpower: int
@@ -78,11 +81,15 @@ class BasisFunction:
                 f"logpower {logpower} outside supported range [0, {MAX_LOGPOWER}]")
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "logpower", logpower)
+        object.__setattr__(self, "_hash", hash((power, logpower)))
+        object.__setattr__(self, "float_power", float(power))
+        # grows without bound as the regulator is removed
+        object.__setattr__(self, "divergent",
+                           power > 0 or (power == 0 and logpower > 0))
+        object.__setattr__(self, "_sort_key", (-power, -logpower))
 
-    @property
-    def divergent(self):
-        """Grows without bound as the regulator is removed."""
-        return self.power > 0 or (self.power == 0 and self.logpower > 0)
+    def __hash__(self):
+        return self._hash
 
     @property
     def constant(self):
@@ -97,7 +104,7 @@ class BasisFunction:
         if reference_scale <= 0:
             raise ValueError(f"reference scale must be positive, got {reference_scale}")
         try:
-            out = float(lam) ** float(self.power)
+            out = float(lam) ** self.float_power
         except OverflowError:
             out = math.inf
         if self.logpower:
@@ -106,9 +113,6 @@ class BasisFunction:
             raise OverflowError(
                 f"basis function {self} overflows at regulator value {lam}")
         return out
-
-    def _sort_key(self):
-        return (-self.power, -self.logpower)
 
     def __str__(self):
         if self.power < 0 and self.logpower == 0:
@@ -171,7 +175,7 @@ class AsymptoticExpansion:
 
     def sorted_terms(self):
         """Terms ordered by decreasing growth."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0]._sort_key())
+        return sorted(self.terms.items(), key=lambda kv: kv[0]._sort_key)
 
     def value_at(self, lam):
         out = np.zeros((self.dim, self.dim), dtype=complex)

@@ -119,7 +119,7 @@ def fit(samples, basis=DEFAULT_BASIS):
     errors = samples.errors
     ok = (np.isfinite(lams) & np.isfinite(samples.values)
           & np.isfinite(errors) & (errors >= 0))
-    if not np.all(ok):
+    if not ok.all():
         raise ValueError(
             f"sample rows {np.nonzero(~ok)[0].tolist()} need a finite cutoff, "
             f"a finite value and a finite, non-negative error")
@@ -129,16 +129,18 @@ def fit(samples, basis=DEFAULT_BASIS):
             f"sample grid spans {decades:.2f} decades; need at least {MIN_DECADES}")
 
     weights = np.ones(n)
-    if np.any(errors > 0):
-        floor = max(np.max(errors) * 1e-6, 1e-300)
+    if (errors > 0).any():
+        floor = max(errors.max() * 1e-6, 1e-300)
         weights = 1.0 / np.maximum(errors, floor)
-        weights /= np.max(weights)
+        weights /= weights.max()
 
     logs = np.log(lams)
-    wd = np.column_stack([lams ** float(b.power) * logs ** b.logpower
-                          for b in basis]) * weights[:, None]
+    wd = np.empty((n, m))
+    for j, b in enumerate(basis):
+        np.multiply(lams ** b.float_power * logs ** b.logpower, weights,
+                    out=wd[:, j])
     scale = np.linalg.norm(wd, axis=0)
-    if np.any(scale == 0):
+    if (scale == 0).any():
         dead = [str(basis[j]) for j in np.nonzero(scale == 0)[0]]
         raise ValueError(f"basis functions vanish on the grid: {dead}")
     wdn = wd / scale
@@ -154,8 +156,9 @@ def fit(samples, basis=DEFAULT_BASIS):
             f"nearly collinear pairs: {pairs or 'none isolated'}",
             condition, pairs)
 
-    rhs = np.column_stack([samples.values.real * weights,
-                           samples.values.imag * weights])
+    rhs = np.empty((n, 2))
+    np.multiply(samples.values.real, weights, out=rhs[:, 0])
+    np.multiply(samples.values.imag, weights, out=rhs[:, 1])
     v_over_s = vt.T / s
     sol = v_over_s @ (u.T @ rhs)
     rss = float(np.sum((rhs - wdn @ sol) ** 2))

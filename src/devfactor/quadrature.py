@@ -9,8 +9,9 @@ integral is reduced.
 
 One contract covers every integrand a caller passes, on a segment or in a
 ball: it maps an array of points, (N,) or (N, 4), to an array of N values.
-_evaluate calls it once per panel, or per chunk of whole radii, and refuses
-any other shape, and any NaN or infinity, naming the point.
+_evaluate calls it once per refinement step (a new panel, an angular
+resample, or both halves of a bisection), or per chunk of whole radii, and
+refuses any other shape, and any NaN or infinity, naming the point.
 
 Every ball integrand is axially symmetric: it depends on k only through k.k
 and the component of k along one axis, as every Feynman-parametrized
@@ -134,15 +135,15 @@ def chebyshev_pair(n):
 
 
 def _evaluate(f, pts):
-    """f at a panel's points, (N,) on a segment or (N, 4) in a ball, in one
-    call per panel, or per chunk of whole radii: its values, refused unless
-    they have shape (N,) and are finite."""
+    """f at the points of a refinement step, (N,) on a segment or (N, 4) in
+    a ball, in one call per step, or per chunk of whole radii: its values,
+    refused unless they have shape (N,) and are finite."""
     vals = np.asarray(f(pts))
     if vals.shape != pts.shape[:1]:
         raise ValueError(
             f"integrand must map points of shape {pts.shape} to values of "
             f"shape {pts.shape[:1]}, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         bad = int(np.argwhere(~np.isfinite(vals))[0][0])
         raise NonFiniteIntegrandError(
             "integrand is not finite",
@@ -184,11 +185,13 @@ def _check_tolerances(tol, abs_tol=0.0):
 def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     """Worst-first adaptive Gauss-Kronrod refinement of [a, b] (QUADPACK QAG).
 
-    sample(x, points, kept) maps a panel's 15 Kronrod nodes to (values,
-    coarse, kept) at a cost of `points` evaluations per node; coarse is None
-    for exact values, else a cruder estimate whose weighted distance from
-    them is the angular error, and kept is what the sampler needs to reuse
-    these samples (None if nothing).  Each panel keeps its own points,
+    sample(x, points, kept) maps the 15 Kronrod nodes of each panel of one
+    refinement step (the first panel, an angular resample, or both halves
+    of a bisection), in one call, to (values, coarse, kept) at a cost of
+    `points` evaluations per node; coarse is None for exact values, else a
+    cruder estimate whose weighted distance from them is the angular error,
+    and kept, indexed by node like the values, is what the sampler needs to
+    reuse these samples (None if nothing).  Each panel keeps its own points,
     starting from the given one.  The panel with the largest |Kronrod -
     Gauss| plus angular error is refined: resampled at 2 points + 1 per node
     when its angular error is the larger, else bisected.  A resample gets the
@@ -208,21 +211,28 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
         return 0.0, math.inf, math.inf, False, 0
     complex_seen = False
 
-    def panel(lo, hi, points, kept=None):
+    def sample_panels(edges, points, kept=None):
+        """The panels between consecutive edges, sampled in one call."""
         nonlocal complex_seen
-        h = 0.5 * (hi - lo)
-        fine, coarse, kept = sample(0.5 * (lo + hi) + h * GK_NODES, points, kept)
-        if np.iscomplexobj(fine):
-            complex_seen = True
-        k = h * np.dot(GK_WEIGHTS, fine)
-        ang = 0.0 if coarse is None else float(
-            h * np.dot(GK_WEIGHTS, np.abs(fine - coarse)))
-        return (lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, fine)), ang, points,
-                kept)
+        spans = [(lo, hi, 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+        x = [0.5 * (lo + hi) + h * GK_NODES for lo, hi, h in spans]
+        fine, coarse, kept = sample(
+            x[0] if len(x) == 1 else np.concatenate(x), points, kept)
+        complex_seen = complex_seen or fine.dtype.kind == "c"
+        out = []
+        for i, (lo, hi, h) in enumerate(spans):
+            part = slice(i * nodes, (i + 1) * nodes)
+            f = fine[part]
+            k = h * np.dot(GK_WEIGHTS, f)
+            ang = 0.0 if coarse is None else float(
+                h * np.dot(GK_WEIGHTS, np.abs(f - coarse[part])))
+            out.append((lo, hi, k, abs(k - h * np.dot(G7_WEIGHTS, f)), ang,
+                        points, None if kept is None else kept[part]))
+        return out
 
     neval = nodes * points
     counter = 0
-    first = panel(a, b, points)
+    first, = sample_panels([a, b], points)
     heap = [(-(first[3] + first[4]), counter, first)]
     frozen = []
     total = first[2]
@@ -252,9 +262,9 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
         heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if resample:
-            pieces = [panel(lo, hi, 2 * pts + 1, kept)]
+            pieces = sample_panels([lo, hi], 2 * pts + 1, kept)
         elif lo < mid < hi:
-            pieces = [panel(lo, mid, pts), panel(mid, hi, pts)]
+            pieces = sample_panels([lo, mid, hi], pts)
         else:
             frozen.append(old[:6])  # a frozen panel's samples are not reused
             continue
@@ -467,9 +477,10 @@ def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
             dirs = dirs[0::2]  # the nodes that are new at this order
         width = dirs.shape[0]
         step = max(1, _CHUNK_POINTS // width)
-        vals = np.concatenate([
+        chunks = [
             _evaluate(f, (r[i:i + step, None, None] * dirs).reshape(-1, 4))
-            .reshape(-1, width) for i in range(0, r.size, step)])
+            .reshape(-1, width) for i in range(0, r.size, step)]
+        vals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         if kept is not None:
             new = vals
             vals = np.empty((r.size, points), np.result_type(new, kept))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from devfactor import expansions as ex
 from devfactor.dirac import I4, gamma
 from devfactor.expansions import (
+    MAX_LOGPOWER,
     CONSTANT,
     INFRARED,
     LINEAR,
@@ -40,6 +41,8 @@ from devfactor.expansions import (
     regularize_term,
     split_divergent,
 )
+from devfactor.fitting import fit
+from devfactor.quadrature import SampledIntegral
 
 
 def random_skew_hermitian(rng, n=4):
@@ -85,6 +88,41 @@ def test_basis_function_classification():
     assert not BasisFunction(-1, 0).divergent
     # a decaying power with a log on top still decays
     assert not BasisFunction(-1, 1).divergent
+
+
+def _power_spellings(power):
+    """Every accepted spelling of a rational power: Fraction, an unreduced
+    "p/q" string and, for an integer, int, integral float and np.integer."""
+    spellings = [power, f"{2 * power.numerator}/{2 * power.denominator}"]
+    if power.denominator == 1:
+        k = power.numerator
+        spellings += [k, float(k), np.int64(k)]
+    return spellings
+
+
+@pytest.mark.parametrize("twice_power", range(-16, 5))
+def test_basis_function_caches_agree_with_fraction_arithmetic(twice_power):
+    # hash, divergent flag, sort key and float power are computed once, on
+    # construction: every spelling of one function must give what the
+    # Fraction arithmetic gives, and serve as the same dictionary key
+    power = Fraction(twice_power, 2)
+    lams = np.geomspace(1.0, 1e3, 5)
+    for logpower in range(MAX_LOGPOWER + 1):
+        spellings = _power_spellings(power)
+        bases = [BasisFunction(s, logpower) for s in spellings]
+        expansion = AsymptoticExpansion(ULTRAVIOLET, {bases[0]: 2.0})
+        values = [2.0 * bases[0].value(lam) for lam in lams]
+        result = fit(SampledIntegral(lams, values, np.zeros(5), np.ones(5)),
+                     (bases[0],))
+        for spelling, b in zip(spellings, bases):
+            assert b == bases[0] and hash(b) == hash((power, logpower))
+            assert b.divergent == (power > 0 or (power == 0 and logpower > 0))
+            assert b._sort_key == (-power, -logpower)
+            assert b.value(3.7) == 3.7 ** float(power) * math.log(3.7) ** logpower
+            assert expansion.terms[b][0, 0] == 2.0
+            assert result.coefficients[b] == result.coefficient(spelling, logpower)
+        assert len({b: None for b in bases}) == 1
+        assert result.coefficients[bases[0]] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_basis_function_validation():

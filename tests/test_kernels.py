@@ -162,20 +162,22 @@ def test_nonfinite_location_reported():
 
 
 def test_ball4_uses_kernel_for_builtin(monkeypatch):
-    calls = {"n": 0}
+    calls = {"n": 0, "radii": 0}
     real = kernels.reduce_axial
 
-    def counting(*args, **kwargs):
+    def counting(kind, p, ell, r, *args, **kwargs):
         calls["n"] += 1
-        return real(*args, **kwargs)
+        calls["radii"] += len(r)
+        return real(kind, p, ell, r, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "reduce_axial", counting)
     p = np.array([0.3, 0.0, 0.0, 0.0])
     res = ball4_integrate(shifted_denominator_integrand(p, 1.0), 10.0, tol=1e-8)
     assert res.converged
-    assert calls["n"] > 0
-    # one call per 15-node radial panel, one evaluation per radius
-    assert res.neval == 15 * calls["n"]
+    assert calls["n"] > 1
+    # one evaluation per radius; one call for the first panel and one per
+    # bisection, which samples both 15-node halves
+    assert res.neval == calls["radii"] == 15 * (2 * calls["n"] - 1)
 
     calls["n"] = 0
     res = ball4_integrate(lambda pts: np.exp(-np.sum(pts ** 2, axis=1)),

@@ -299,16 +299,16 @@ def test_segment_freezes_panels_at_float_resolution():
 def test_segment_samples_each_node_set_once():
     # [5e15, 5e15 + 2] spans two float steps: one bisection leaves two
     # panels too narrow to bisect, which keep the values they were sampled with
-    calls = []
+    node_sets = []
 
     def f(x):
-        calls.append(x.tobytes())
+        node_sets.extend(x[i:i + 15].tobytes() for i in range(0, x.size, 15))
         return np.cos(x - 5e15)
 
     res = segment_integrate(f, 5e15, 5e15 + 2.0, tol=1e-20)
     assert not res.converged
-    assert len(set(calls)) == len(calls) == 3
-    assert res.neval == 15 * len(calls)
+    assert len(set(node_sets)) == len(node_sets) == 3
+    assert res.neval == 45
 
 
 @pytest.mark.parametrize("width, neval", [(1e-6, 4335), (1e-8, 61125)])
@@ -522,9 +522,9 @@ def test_ball_angular_step_spends_budget_honestly():
 
 
 def test_callable_panels_are_sampled_in_capped_chunks(monkeypatch):
-    # at high angular orders a panel's points reach f in chunks of whole
-    # radii, at most _CHUNK_POINTS a call, with the result of one call per
-    # panel
+    # at high angular orders a refinement step's points reach f in chunks of
+    # whole radii, at most _CHUNK_POINTS a call, with the result of one call
+    # per step
     f, axis = _angular_step()
     sizes = []
 
@@ -684,6 +684,55 @@ def test_cutoff_ladder_matches_single_calls():
     for lam, val in zip(samples.lambdas, samples.values):
         res = ball4_integrate(integrand, lam, tol=1e-8)
         assert val == res.value
+
+
+def test_panels_sampled_together_sum_as_if_sampled_alone(monkeypatch):
+    # a refinement step samples all its panels in one call; splitting every
+    # call into 15-node panels must leave each result bitwise unchanged
+    p = np.array([0.6, 0.2, 0.0, 0.0])
+    builtins = [shifted_denominator_integrand(p, 1.0),
+                shifted_component_integrand(p, 0.5)]
+    segments = [(lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0),
+                (lambda x: np.exp(7j * x) * np.sqrt(x), 0.0, 5.0)]
+    shells = []
+    real_ball = quadrature.ball4_integrate
+
+    def recorded(*args, **kwargs):
+        shells.append(real_ball(*args, **kwargs))
+        return shells[-1]
+
+    monkeypatch.setattr(quadrature, "ball4_integrate", recorded)
+
+    def results(wrap):
+        single = [segment_integrate(wrap(f), a, b, tol=1e-12)
+                  for f, a, b in segments]
+        single += [ball4_integrate(f, 1e4, tol=1e-10) for f in builtins]
+        ladders = []
+        for f in builtins:
+            shells.clear()
+            ladder = cutoff_ladder(f, [10.0, 1e3, 1e6], tol=1e-10)
+            ladders.append((ladder.values.tobytes(), ladder.errors.tobytes(),
+                            ladder.converged.tobytes(), list(shells)))
+        return single, ladders
+
+    batched = results(lambda f: f)
+    assert all(res.neval > 15 for res in batched[0])  # each one bisected
+
+    def per_panel(f):
+        return lambda x: np.concatenate(
+            [f(x[i:i + 15]) for i in range(0, x.size, 15)])
+
+    real_reduce = quadrature._kernels.reduce_axial
+
+    def reduce_per_panel(kind, p, ell, r, *args):
+        parts = [real_reduce(kind, p, ell, r[i:i + 15], *args)
+                 for i in range(0, r.size, 15)]
+        bad = [b for _, b in parts if b is not None]
+        return (None, bad[0]) if bad else (
+            np.concatenate([v for v, _ in parts]), None)
+
+    monkeypatch.setattr(quadrature._kernels, "reduce_axial", reduce_per_panel)
+    assert results(per_panel) == batched
 
 
 def test_cutoff_ladder_validation():
