@@ -5,11 +5,15 @@ with a worst-first refinement queue; the final sum is compensated over panels
 sorted by position, so results are a pure function of the inputs.  A caller
 hands it a panel sampler: the integrand at the nodes of a segment, or r^3
 times the 3-sphere averages at the radii of a 4-ball, to which the 4-ball
-integral is reduced.
+integral is reduced.  The first step samples every panel between the given
+edges in one call: a segment starts as one panel, a ball on panels graded
+from its integrand's scale, cut at sqrt(ell) * 2^j for a built-in denominator
+and at R/8, R/4, R/2 for a callable, so the error estimate sees the
+denominator's turn from ell to k.k before it can claim convergence.
 
 One contract covers every integrand a caller passes, on a segment or in a
 ball: it maps an array of points, (N,) or (N, 4), to an array of N values.
-_evaluate calls it once per refinement step (a new panel, an angular
+_evaluate calls it once per refinement step (the first panels, an angular
 resample, or both halves of a bisection), or per chunk of whole radii, and
 refuses any other shape, and any NaN or infinity, naming the point.
 
@@ -170,7 +174,7 @@ def segment_integrate(f, a, b, tol=1e-10, abs_tol=0.0,
     _check_tolerances(tol, abs_tol)
     value, err, _, converged, neval = _refine(
         lambda x, points, kept: (_evaluate(f, x), None, None),
-        1, a, b, tol, abs_tol, max_evals)
+        1, [a, b], tol, abs_tol, max_evals)
     return QuadratureResult(value, err, converged, neval)
 
 
@@ -182,11 +186,12 @@ def _check_tolerances(tol, abs_tol=0.0):
             f"absolute tolerance must be finite and nonnegative, got {abs_tol}")
 
 
-def _refine(sample, points, a, b, tol, abs_tol, max_evals):
-    """Worst-first adaptive Gauss-Kronrod refinement of [a, b] (QUADPACK QAG).
+def _refine(sample, points, edges, tol, abs_tol, max_evals):
+    """Worst-first adaptive Gauss-Kronrod refinement of [edges[0], edges[-1]]
+    (QUADPACK QAG), starting from the panels between consecutive edges.
 
     sample(x, points, kept) maps the 15 Kronrod nodes of each panel of one
-    refinement step (the first panel, an angular resample, or both halves
+    refinement step (the first panels, an angular resample, or both halves
     of a bisection), in one call, to (values, coarse, kept) at a cost of
     `points` evaluations per node; coarse is None for exact values, else a
     cruder estimate whose weighted distance from them is the angular error,
@@ -197,17 +202,19 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
     when its angular error is the larger, else bisected.  A resample gets the
     panel's kept samples back and is charged only the points + 1 new
     evaluations per node.  A resample whose angular error did not fall is
-    frozen, as is a panel too narrow to bisect in floating point: the finer
-    step no longer helps.  Refinement ends when the summed errors meet
-    max(abs_tol, tol * |value|) (converged), or unconverged when no panel is
-    left or the next step would exceed max_evals.  The stopping test reads a
-    running sum, updated per step.  Returns (value, error, angular error,
-    converged, nevals), summed with compensation over the panels sorted by
-    position; value is complex only if some sample was.  A budget below one
-    panel returns (0.0, inf, inf, False, 0).
+    frozen, as is a panel whose halves would be one float step wide, all
+    their nodes rounded to one endpoint: the finer step no longer helps.
+    Refinement ends when the summed errors meet max(abs_tol, tol * |value|)
+    (converged), or unconverged when no panel is left or the next step would
+    exceed max_evals.  The stopping test reads a running sum, updated per
+    step.  Returns (value, error, angular error, converged, nevals), summed
+    with compensation over the panels sorted by position; value is complex
+    only if some sample was.  A budget below the
+    first step's panels returns (0.0, inf, inf, False, 0).
     """
     nodes = GK_NODES.size
-    if nodes * points > max_evals:
+    neval = nodes * points * (len(edges) - 1)
+    if neval > max_evals:
         return 0.0, math.inf, math.inf, False, 0
     complex_seen = False
 
@@ -230,13 +237,13 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
                         points, None if kept is None else kept[part]))
         return out
 
-    neval = nodes * points
-    counter = 0
-    first, = sample_panels([a, b], points)
-    heap = [(-(first[3] + first[4]), counter, first)]
+    heap = [(-(p[3] + p[4]), i, p)
+            for i, p in enumerate(sample_panels(edges, points))]
+    heapq.heapify(heap)
+    counter = len(heap)
     frozen = []
-    total = first[2]
-    err = first[3] + first[4]
+    total = sum(p[2] for _, _, p in heap)
+    err = sum(p[3] + p[4] for _, _, p in heap)
     synced = err
     converged = True
     while True:
@@ -263,7 +270,9 @@ def _refine(sample, points, a, b, tol, abs_tol, max_evals):
         mid = 0.5 * (lo + hi)
         if resample:
             pieces = sample_panels([lo, hi], 2 * pts + 1, kept)
-        elif lo < mid < hi:
+        elif lo < 0.5 * (lo + mid) < mid < 0.5 * (mid + hi) < hi:
+            # each half's centre is a float inside it: a half one float step
+            # wide would round all its nodes to one endpoint
             pieces = sample_panels([lo, mid, hi], pts)
         else:
             frozen.append(old[:6])  # a frozen panel's samples are not reused
@@ -349,6 +358,12 @@ class BallIntegrand:
         return float(np.linalg.norm(self.p_vec))
 
     @functools.cached_property
+    def scale(self):
+        """Where the denominator turns from ell to k.k, sqrt(ell); infinite
+        for the constant, which needs no graded panels."""
+        return math.inf if self.kind == KIND_ONE else math.sqrt(self.ell)
+
+    @functools.cached_property
     def axis(self):
         p = np.asarray(self.p_vec, dtype=float)
         n = np.linalg.norm(p)
@@ -423,9 +438,12 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
     The radial direction is adapted with Gauss-Kronrod panels until the
     error estimate is at most tol * |value|: the tolerance is relative only,
     so an integral that vanishes converges only if it is exactly zero with
-    zero error.  A callable's panel starts at angular order 8 and doubles
-    it where the angular error estimate exceeds the radial one, in the same
-    worst-first loop and within the same budget.  The radius must leave the
+    zero error.  Refinement starts on radial panels graded from the
+    integrand's scale (see _adaptive_radial), all sampled in one call; a
+    budget below them gives 0.0, unconverged, after no evaluation.  A
+    callable's panel starts at angular order 8 and doubles it where the
+    angular error estimate exceeds the radial one, in the same worst-first
+    loop and within the same budget.  The radius must leave the
     ball's volume scale pi^2 radius^4 finite.  _inner, for cutoff_ladder
     only, integrates over the shell between it and the radius instead.
     """
@@ -447,8 +465,12 @@ def ball4_integrate(f, radius, tol=1e-8, axis=None,
 
 def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
     """Worst-first radial refinement over [inner, radius] of r^3 times the
-    3-sphere average 4 pi * int f(r, x) sqrt(1 - x^2) dx.  A built-in has the
-    average in closed form; a callable is averaged along its axis, an
+    3-sphere average 4 pi * int f(r, x) sqrt(1 - x^2) dx, from first panels
+    cut at scale * 2^j, j = 0, 1, ...: scale is sqrt(ell) for a built-in
+    denominator, where it turns from ell to k.k (the constant, exact on one
+    panel, gets no cuts), and radius / 8 for a callable, whose scale is not
+    known; cuts are kept strictly between inner and radius.  A built-in has
+    the average in closed form; a callable is averaged along its axis, an
     _AxisFrame, by the embedded Chebyshev pair, from order _AXIAL_ORDER = 8
     at 2 n + 1 = 17 points per radius up to whatever order each panel's
     refinement reaches.  A doubling n -> 2n + 1 keeps the panel's samples:
@@ -469,7 +491,8 @@ def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
                     tuple(float(c) for c in bad * f.axis))
             return r ** 3 * (FOUR_PI * avg), None, None
 
-        return _refine(sample, 1, inner, radius, tol, 0.0, max_evals)
+        return _refine(sample, 1, _graded(inner, radius, f.scale), tol, 0.0,
+                       max_evals)
 
     def sample(r, points, kept):
         dirs, w_fine, w_coarse = axis.rule(points)
@@ -490,7 +513,20 @@ def _adaptive_radial(f, axis, radius, tol, inner, max_evals):
         return (r3 * (FOUR_PI * (vals @ w_fine)),
                 r3 * (FOUR_PI * (vals @ w_coarse)), vals)
 
-    return _refine(sample, 2 * _AXIAL_ORDER + 1, inner, radius, tol, 0.0, max_evals)
+    return _refine(sample, 2 * _AXIAL_ORDER + 1,
+                   _graded(inner, radius, radius / 8), tol, 0.0, max_evals)
+
+
+def _graded(inner, radius, scale):
+    """Edges of [inner, radius] cut at scale * 2^j, j = 0, 1, ..., strictly
+    between them: the first refinement step's panels."""
+    edges = [inner]
+    cut = scale
+    while 0 < cut < radius:
+        if cut > inner:
+            edges.append(cut)
+        cut *= 2
+    return edges + [radius]
 
 
 @dataclass

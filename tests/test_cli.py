@@ -206,7 +206,8 @@ def test_fit_missing_file_exit_3(tmp_path, capsys):
 
 
 def test_fit_of_starved_ladder_names_rows_exit_3(tmp_path, capsys):
-    # a budget below one panel leaves every rung at err = inf
+    # a budget below a shell's first step (one 15-node panel or more) leaves
+    # every rung at err = inf
     assert main(["ladder", "--integrand", "shifted", "--p", "0.5,0,0,0",
                  "--lmin", "10", "--lmax", "1000", "--points", "4",
                  "--max-evals", "10", "--out", str(tmp_path)]) == 4

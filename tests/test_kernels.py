@@ -172,12 +172,14 @@ def test_ball4_uses_kernel_for_builtin(monkeypatch):
 
     monkeypatch.setattr(kernels, "reduce_axial", counting)
     p = np.array([0.3, 0.0, 0.0, 0.0])
-    res = ball4_integrate(shifted_denominator_integrand(p, 1.0), 10.0, tol=1e-8)
+    res = ball4_integrate(shifted_denominator_integrand(p, 1.0), 10.0, tol=1e-12)
     assert res.converged
     assert calls["n"] > 1
-    # one evaluation per radius; one call for the first panel and one per
-    # bisection, which samples both 15-node halves
-    assert res.neval == calls["radii"] == 15 * (2 * calls["n"] - 1)
+    # one evaluation per radius; one call for the first step, whose panels
+    # are cut at sqrt(ell) * 2^j = 1, 2, 4, 8, and one per bisection, which
+    # samples both 15-node halves
+    first_panels = 5
+    assert res.neval == calls["radii"] == 15 * (first_panels + 2 * (calls["n"] - 1))
 
     calls["n"] = 0
     res = ball4_integrate(lambda pts: np.exp(-np.sum(pts ** 2, axis=1)),

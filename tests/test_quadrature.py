@@ -8,7 +8,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devfactor import quadrature
@@ -251,7 +251,7 @@ def test_segment_integrand_must_be_vectorized():
 
 def test_scalar_valued_integrand_is_refused_by_shape():
     # one check for segments and balls: N points give N values
-    shape_message = (r"integrand must map points of shape \((15|255), ?4?\) "
+    shape_message = (r"integrand must map points of shape \((15|1020), ?4?\) "
                      r"to values of shape \(\1,\), got shape \(\)")
     with pytest.raises(ValueError, match=shape_message):
         segment_integrate(lambda x: 1.0, 0.0, 1.0)
@@ -286,26 +286,35 @@ def test_segment_budget_below_one_panel_evaluates_nothing():
     assert res.converged and res.neval == 15
 
 
+def _node_sets(f):
+    """f, recording the 15-node set of every panel it samples."""
+    node_sets = []
+
+    def recorded(x):
+        node_sets.extend(x[i:i + 15].tobytes() for i in range(0, x.size, 15))
+        return f(x)
+
+    return recorded, node_sets
+
+
 def test_segment_freezes_panels_at_float_resolution():
-    # near 1e16 the float spacing is 2, so bisection stops at 2-wide panels;
-    # those are frozen, and tol 1e-20 can never be met
-    res = segment_integrate(lambda x: np.cos(x - 1e16), 1e16, 1e16 + 64.0,
-                            tol=1e-20, max_evals=3000)
+    # near 1e16 the float spacing is 2, so bisection stops at 4-wide panels,
+    # whose halves would round all their nodes to one endpoint (shared with
+    # the next panel's half); those are frozen, and tol 1e-20 can never be met
+    f, node_sets = _node_sets(lambda x: np.cos(x - 1e16))
+    res = segment_integrate(f, 1e16, 1e16 + 64.0, tol=1e-20, max_evals=3000)
     assert not res.converged
-    assert res.neval == 945
-    assert res.value == pytest.approx(-0.8421137331778507, rel=1e-12)
+    assert res.neval == 465
+    assert len(set(node_sets)) == len(node_sets) == 31
+    # the nodes round to even offsets, so this is not sin(64) = 0.920
+    assert res.value == pytest.approx(0.5893795340002793, rel=1e-12)
 
 
 def test_segment_samples_each_node_set_once():
-    # [5e15, 5e15 + 2] spans two float steps: one bisection leaves two
+    # [5e15, 5e15 + 4] spans four float steps: one bisection leaves two
     # panels too narrow to bisect, which keep the values they were sampled with
-    node_sets = []
-
-    def f(x):
-        node_sets.extend(x[i:i + 15].tobytes() for i in range(0, x.size, 15))
-        return np.cos(x - 5e15)
-
-    res = segment_integrate(f, 5e15, 5e15 + 2.0, tol=1e-20)
+    f, node_sets = _node_sets(lambda x: np.cos(x - 5e15))
+    res = segment_integrate(f, 5e15, 5e15 + 4.0, tol=1e-20)
     assert not res.converged
     assert len(set(node_sets)) == len(node_sets) == 3
     assert res.neval == 45
@@ -480,8 +489,8 @@ def test_ball_peaked_callable_near_its_pole_converges():
     assert res.value == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("max_evals, neval", [(20000, 17205), (40000, 34425),
-                                              (60000, 55965)])
+@pytest.mark.parametrize("max_evals, neval", [(20000, 17220), (40000, 34440),
+                                              (50000, 47370)])
 def test_ball_budget_stops_callable_refinement_honestly(max_evals, neval):
     # bisections and angular doublings draw on one budget: the loop stops
     # before the step that would overrun it, with an error that still covers
@@ -643,6 +652,10 @@ def test_ball_validation():
     assert res.converged
     assert res.value == pytest.approx(0.5 * (math.pi * 6.5e76 ** 2) ** 2,
                                       rel=1e-13)
+    # a callable's first cut, R/8, underflows to 0 here: one panel, no cuts
+    res = ball4_integrate(lambda pts: np.ones(pts.shape[0]), 1e-323, tol=1e-8,
+                          axis=[1.0, 0.0, 0.0, 0.0])
+    assert res.neval == 255
     for axis in ([1.0, 0.0, 0.0], [1.0] * 8, [math.nan, 1.0, 0.0, 0.0],
                  [math.inf, 0.0, 0.0, 0.0], [0.0] * 4, [1e300] * 4):
         with pytest.raises(ValueError, match="axis"):
@@ -811,6 +824,91 @@ def test_ball_angular_rounding_floor_stops_early(inner, radius):
     assert res.neval < 150_000
 
 
+def _kronrod_nodes(edges):
+    return np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * GK_NODES
+                           for lo, hi in zip(edges, edges[1:])])
+
+
+def test_first_step_samples_every_graded_panel_in_one_call(monkeypatch):
+    # a built-in's first panels are cut at sqrt(ell) * 2^j, a callable's at
+    # R/8, R/4 and R/2, and one sampler call takes the nodes of all of them
+    radii = []
+    reduce_axial = quadrature._kernels.reduce_axial
+
+    def spy(kind, p, ell, r, x):
+        radii.append(r.copy())
+        return reduce_axial(kind, p, ell, r, x)
+
+    monkeypatch.setattr(quadrature._kernels, "reduce_axial", spy)
+    res = ball4_integrate(shifted_denominator_integrand([0.3, 0.0, 0.0, 0.0], 1.0),
+                          1e6, tol=1e-8)
+    assert res.converged
+    edges = [0.0] + [2.0 ** j for j in range(20)] + [1e6]
+    assert np.array_equal(radii[0], _kronrod_nodes(edges))
+
+    points = []
+
+    def f(pts):
+        points.append(pts.copy())
+        return np.exp(-np.sum(pts * pts, axis=1))
+
+    res = ball4_integrate(f, 1.0, tol=1e-8, axis=[0.0, 1.0, 0.0, 0.0])
+    assert res.converged
+    first = np.linalg.norm(points[0], axis=1).reshape(-1, 17)
+    assert first.shape == (4 * 15, 17)
+    assert first == pytest.approx(
+        np.repeat(_kronrod_nodes([0.0, 0.125, 0.25, 0.5, 1.0])[:, None], 17, axis=1),
+        rel=1e-15)
+
+
+# Built-in component ladders of the benchmark's mix (perfbench workloads
+# ladder_op(412, 2509) and ladder_op(413, 625)) that once claimed convergence
+# 2.1x and 126x tol off: on panels far wider than the denominator's scale
+# sqrt(ell) the Kronrod - Gauss estimate missed its turn from ell to k.k
+MISSED_LADDERS = [
+    ([-0.021209100138243016, -0.11683064848718974, 0.024924325491921005,
+      -0.047669932062386226], 0.0974477710646341,
+     [156065.0196211282, 268679.45517326496, 462554.9646387866,
+      796328.4545668495, 1370948.4407934777, 2360206.5410765614,
+      4063300.085389389, 6995323.204381307, 12043055.079715122,
+      20733162.916934814, 35693936.604525566, 61450204.94134262]),
+    ([-0.8443388630658024, 0.8302622961796395, 0.44083210186941707,
+      0.6942898719213294], 2.951669346096096,
+     [100.00088848566028, 244.0527695956716, 595.6122515437338,
+      1453.5952809579908, 3547.5080227898807, 8657.714658694102,
+      21129.204678279704, 51565.95105479912, 125847.01358491609]),
+]
+
+
+@pytest.mark.parametrize("p, ell, radii", MISSED_LADDERS)
+def test_builtin_component_ladder_meets_its_claim(p, ell, radii):
+    samples = cutoff_ladder(shifted_component_integrand(p, ell), radii, tol=1e-6)
+    assert samples.all_converged
+    p_mag = float(np.linalg.norm(p))
+    for lam, v in zip(radii, samples.values.real):
+        exact = ball_oracle("component", p_mag, ell, lam)
+        assert abs(v - exact) <= 1e-6 * abs(exact), (lam, v, exact)
+
+
+# Small-cutoff balls, p = |p| (0.6, 0, 0, 0.8), that once converged after a
+# few panels 1.45x and 2.23x tol off; also @examples of the properties below
+@pytest.mark.parametrize("kind, p, excess, radius, as_callable", [
+    ("shifted", 1.1875, 4.825, 29.73, False),
+    ("component", 0.587, 1.969, 47556.0, False),
+    ("shifted", 1.1875, 4.825, 29.73, True)])
+def test_small_cutoff_ball_meets_its_claim(kind, p, excess, radius, as_callable):
+    p_vec = p * np.array([0.6, 0.0, 0.0, 0.8])
+    ell = p * p + excess
+    f = dict(LADDER_KINDS)[kind](p_vec, ell)
+    if as_callable:
+        res = ball4_integrate(f.__call__, radius, tol=1e-6, axis=p_vec)
+    else:
+        res = ball4_integrate(f, radius, tol=1e-6)
+    assert res.converged
+    exact = ball_oracle(kind, p, ell, radius)
+    assert abs(res.value - exact) <= 1e-6 * abs(exact)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["volume", "shifted", "component"]),
        p=st.floats(0.01, 1.5),
@@ -819,6 +917,10 @@ def test_ball_angular_rounding_floor_stops_early(inner, radius):
        decades=st.integers(2, 6),
        rungs=st.integers(2, 8),
        tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+@example(kind="shifted", p=1.1875, excess=4.825, log_lmin=math.log10(29.73),
+         decades=2, rungs=2, tol=1e-6)
+@example(kind="component", p=0.587, excess=1.969, log_lmin=math.log10(47556.0),
+         decades=2, rungs=2, tol=1e-6)
 def test_builtin_ladders_increase_and_meet_their_claims(
         kind, p, excess, log_lmin, decades, rungs, tol):
     p_vec = p * np.array([0.6, 0.0, 0.0, 0.8])
@@ -841,6 +943,8 @@ def test_builtin_ladders_increase_and_meet_their_claims(
        excess=st.floats(0.05, 5.0),
        log_radius=st.floats(0.0, 6.0),
        tol=st.sampled_from([1e-6, 1e-8]))
+@example(kind="shifted", p=1.1875, excess=4.825, log_radius=math.log10(29.73),
+         tol=1e-6)
 def test_axis_tagged_callable_meets_its_claim(kind, p, excess, log_radius, tol):
     # the built-in profile as a plain callable, from angular order 8 with
     # kept samples: a converged result is within tol of the closed form
